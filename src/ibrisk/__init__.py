@@ -15,7 +15,6 @@ from .calibration import (
 from .contagion import (
     CascadeEnsemble,
     CascadeOutcome,
-    FundPolicy,
     SeedSpec,
     compute_rescue_payouts,
     run_cascade,
@@ -58,6 +57,6 @@ from .risk import (
     default_probabilities,
     systemic_probabilities,
 )
-from .roi import RoiRates, RoiReport, nominal_roi, risk_adjusted_roi, roi_report
+from .roi import RoiRates, nominal_roi, risk_adjusted_roi
 
 __version__ = "0.1.0"

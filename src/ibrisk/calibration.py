@@ -12,10 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationError, ParameterError
-from .network import FinancialNetwork, node_strengths
-
-ETA_PRACTICAL_MAX = 0.05  # customary upper end of reserve requirements
-BETA_PRACTICAL_RANGE = (4.0, 20.0)
+from .network import FinancialNetwork, NodeStrengths, node_strengths
 
 
 @dataclass(frozen=True)
@@ -37,13 +34,15 @@ class CalibrationParams:
 
 @dataclass(frozen=True)
 class CalibratedNetwork:
-    """Network plus derived per-node balance, reserve and fund vectors."""
+    """Network plus derived per-node balance, reserve and fund vectors,
+    and the strengths they were derived from."""
 
     net: FinancialNetwork
     balance: np.ndarray
     reserve: np.ndarray
     fund_contribution: np.ndarray
     params: CalibrationParams
+    strengths: NodeStrengths
 
     @property
     def total_fund(self) -> float:
@@ -51,8 +50,7 @@ class CalibratedNetwork:
 
     def external_assets(self) -> np.ndarray:
         """Assets held outside the money market: D = B - lent - E."""
-        out_strength = node_strengths(self.net).out_strength
-        return self.balance - out_strength - self.reserve
+        return self.balance - self.strengths.out_strength - self.reserve
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,7 @@ def calibrate(net: FinancialNetwork, params: CalibrationParams) -> CalibratedNet
             f"(D={external[bad[0]]:.6g}); beta={params.beta} is too small "
             "for its money-market concentration"
         )
-    return CalibratedNetwork(net, balance, reserve, fund, params)
+    return CalibratedNetwork(net, balance, reserve, fund, params, strengths)
 
 
 def propagation_weights(cal: CalibratedNetwork) -> PropagationWeights:

@@ -7,7 +7,8 @@ into the output directory, and all numeric CSV output uses round-trip
 decimal formatting so identical configs produce identical bytes.
 
 Exit codes: 0 success, 2 bad arguments, 3 input error, 4 calibration
-infeasible, 5 internal invariant violation.
+infeasible, 5 internal error (an invariant violation or any other
+unexpected exception). Every failure prints one line on stderr.
 """
 from __future__ import annotations
 
@@ -19,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiments, network, risk, roi
+from . import experiments, network, roi
 from .calibration import CalibrationParams, calibrate
-from .contagion import FundPolicy, SeedSpec, run_cascade, run_ensemble
-from .errors import CalibrationError, IbRiskError, InputError, InvariantError, ParameterError
-from .network import FinancialNetwork, node_strengths
+from .contagion import SeedSpec, run_cascade
+from .errors import CalibrationError, IbRiskError, InputError, ParameterError
+from .network import FinancialNetwork
 
 logger = logging.getLogger(__name__)
 
@@ -143,6 +144,13 @@ def _parse_date(text: str, what: str) -> dt.date:
         raise ParameterError(f"bad {what} date {text!r}") from None
 
 
+def _parse_number(cast, text: str, what: str):
+    try:
+        return cast(text)
+    except ValueError:
+        raise ParameterError(f"bad {what} {text!r}") from None
+
+
 def _parse_synth_spec(text: str, rng_seed: int) -> experiments.SyntheticSpec:
     fields = {}
     body = text[len("synth:"):]
@@ -163,7 +171,7 @@ def _parse_synth_spec(text: str, rng_seed: int) -> experiments.SyntheticSpec:
     for key, value in fields.items():
         if key not in casts:
             raise ParameterError(f"unknown synth spec key {key!r}")
-        kwargs[key] = casts[key](value)
+        kwargs[key] = _parse_number(casts[key], value, f"synth spec {key}")
     return experiments.SyntheticSpec(**kwargs)
 
 
@@ -234,9 +242,7 @@ def cmd_cascade(config: dict, out_dir: Path) -> str:
         raise ParameterError("--seed-node is required for cascade")
     seed = net.index_of(str(config["seed_node"]))
     cal = calibrate(net, _params(config))
-    outcome = run_cascade(
-        cal, SeedSpec(seed=seed), FundPolicy(enabled=True), record_trace=True
-    )
+    outcome = run_cascade(cal, SeedSpec(seed=seed), record_trace=True)
     rows = []
     for step, snapshot in enumerate(outcome.trace):
         for idx, value in enumerate(snapshot):
@@ -248,38 +254,41 @@ def cmd_cascade(config: dict, out_dir: Path) -> str:
     )
 
 
-def _ensemble_metrics(config: dict, net: FinancialNetwork):
-    cal = calibrate(net, _params(config))
-    ensemble = run_ensemble(cal, FundPolicy(enabled=True))
-    _, delta = risk.conditional_default_matrix(ensemble)
-    node_risk, system_risk = risk.cascade_risk(delta, net.n_nodes)
-    dr_nodes, dr_avg = risk.debtrank_metric(ensemble, node_strengths(net))
-    p = risk.default_probabilities(delta, config["p_exo"])
-    return cal, delta, node_risk, system_risk, dr_nodes, dr_avg, p
+def _evaluate(config: dict, net: FinancialNetwork) -> experiments.PointResult:
+    return experiments.evaluate_point(
+        net, config["beta"], config["eta"], config["alpha"], _rates(config), config["p_exo"]
+    )
 
 
 def cmd_risk(config: dict, out_dir: Path) -> str:
     net = load_network(config)
-    _, delta, node_risk, system_risk, dr_nodes, dr_avg, p = _ensemble_metrics(config, net)
+    point = _evaluate(config, net)
+    delta, p = point.delta, point.default_prob
     rows = [
-        [net.nodes[i], int(delta[i]), float(node_risk[i]), float(p[i]), float(dr_nodes[i])]
+        [net.nodes[i], int(delta[i]), float(point.cascade_risk_nodes[i]), float(p[i]),
+         float(point.debtrank_nodes[i])]
         for i in range(net.n_nodes)
     ]
-    rows.append(["SYSTEM", int(np.sum(delta)), system_risk, float(np.mean(p)), dr_avg])
+    rows.append(["SYSTEM", int(np.sum(delta)), point.cascade_risk_system, float(np.mean(p)),
+                 point.avg_debtrank])
     _write_csv(
         out_dir / "risk.csv",
         ["node", "delta", "cascade_risk", "default_prob", "debtrank"],
         rows,
     )
-    return f"p^C={_fmt(system_risk)} N={net.n_nodes} defaults_total={int(np.sum(delta))}"
+    return (
+        f"p^C={_fmt(point.cascade_risk_system)} N={net.n_nodes} "
+        f"defaults_total={int(np.sum(delta))}"
+    )
 
 
 def cmd_roi(config: dict, out_dir: Path) -> str:
     net = load_network(config)
-    cal, delta, _, system_risk, _, _, p = _ensemble_metrics(config, net)
-    report = roi.roi_report(cal, p, _rates(config))
+    point = _evaluate(config, net)
+    roi.require_positive_balance(net.nodes, point.balance)
     rows = [
-        [net.nodes[i], float(report.nominal[i]), float(report.risk_adjusted[i]), float(p[i])]
+        [net.nodes[i], float(point.roi_nominal[i]), float(point.roi_risk_adjusted[i]),
+         float(point.default_prob[i])]
         for i in range(net.n_nodes)
     ]
     _write_csv(
@@ -287,10 +296,9 @@ def cmd_roi(config: dict, out_dir: Path) -> str:
         ["node", "roi_nominal", "roi_risk_adjusted", "default_prob"],
         rows,
     )
-    weighted, unweighted = report.market_risk_adjusted(cal.balance)
     return (
-        f"p^C={_fmt(system_risk)} market_roi_ra={_fmt(weighted)} "
-        f"market_roi_ra_unweighted={_fmt(unweighted)}"
+        f"p^C={_fmt(point.cascade_risk_system)} market_roi_ra={_fmt(point.market_roi_weighted)} "
+        f"market_roi_ra_unweighted={_fmt(point.market_roi_unweighted)}"
     )
 
 
@@ -335,7 +343,10 @@ def _cmd_sweep(config: dict, out_dir: Path, varying: str) -> str:
 def cmd_iso(config: dict, out_dir: Path) -> str:
     net = load_network(config)
     if config["eta_increases"]:
-        grid = tuple(float(x) for x in str(config["eta_increases"]).split(","))
+        grid = tuple(
+            _parse_number(float, x, "eta increase")
+            for x in str(config["eta_increases"]).split(",")
+        )
     else:
         grid = experiments.DEFAULT_ETA_INCREASE_GRID
     points = experiments.iso_curve(
@@ -405,8 +416,12 @@ def main(argv=None) -> int:
     except CalibrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION
-    except (InvariantError, IbRiskError) as exc:
+    except IbRiskError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # anything unexpected: one line, no traceback
+        logger.debug("unexpected failure", exc_info=True)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     print(summary)
     return EXIT_OK

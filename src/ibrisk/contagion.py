@@ -1,4 +1,4 @@
-"""Distress-propagation cascades with an optional rescue fund.
+"""Distress-propagation cascades with a rescue fund.
 
 A cascade starts from one seeded default. In each round every not yet
 used propagation edge whose source carries positive distress fires
@@ -6,13 +6,14 @@ simultaneously, raising the target's distress by weight * source
 distress (values read from the previous round), capped at 1. Fired
 edges are discarded; the run stops when nothing can fire.
 
-When the rescue fund is enabled, the seed's lenders are compensated
-before propagation: the first-round loss on each seed->lender edge is
-the exposure minus the payout.
+The rescue fund compensates the seed's lenders before propagation:
+the first-round loss on each seed->lender edge is the exposure minus
+the payout. The fund is the pool filled by the alpha tax, so it is
+empty at alpha = 0 and then pays nothing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,17 +39,6 @@ class SeedSpec:
 
 
 @dataclass(frozen=True)
-class FundPolicy:
-    """Whether the common rescue fund compensates the seed's lenders."""
-
-    enabled: bool = False
-
-    @staticmethod
-    def disabled() -> "FundPolicy":
-        return FundPolicy(enabled=False)
-
-
-@dataclass(frozen=True)
 class CascadeOutcome:
     """Result of one seeded cascade run."""
 
@@ -57,7 +47,6 @@ class CascadeOutcome:
     final_distress: np.ndarray
     defaulted: frozenset[int]
     steps: int
-    rescue_payouts: np.ndarray
     trace: Optional[tuple[np.ndarray, ...]] = None
 
 
@@ -102,7 +91,6 @@ def compute_rescue_payouts(cal: CalibratedNetwork, seed: int) -> np.ndarray:
 def run_cascade(
     cal: CalibratedNetwork,
     seed: SeedSpec,
-    policy: FundPolicy = FundPolicy(False),
     *,
     weights: Optional[PropagationWeights] = None,
     record_trace: bool = False,
@@ -117,14 +105,12 @@ def run_cascade(
         weights = propagation_weights(cal)
     src, dst = weights.src, weights.dst
     eff_weight = weights.weight
-    payouts = np.zeros(n)
-    if policy.enabled:
-        payouts = compute_rescue_payouts(cal, seed.seed)
-        if np.any(payouts > 0.0):
-            eff_weight = eff_weight.copy()
-            for k in np.flatnonzero(src == seed.seed):
-                reduced = weights.loss[k] - payouts[dst[k]]
-                eff_weight[k] = edge_weight(reduced, float(cal.reserve[dst[k]]))
+    payouts = compute_rescue_payouts(cal, seed.seed)
+    if np.any(payouts > 0.0):
+        eff_weight = eff_weight.copy()
+        for k in np.flatnonzero(src == seed.seed):
+            reduced = weights.loss[k] - payouts[dst[k]]
+            eff_weight[k] = edge_weight(reduced, float(cal.reserve[dst[k]]))
 
     h = np.zeros(n)
     h[seed.seed] = seed.initial_distress
@@ -158,27 +144,15 @@ def run_cascade(
         final_distress=h,
         defaulted=defaulted,
         steps=max(steps, 1),
-        rescue_payouts=payouts,
         trace=tuple(trace) if record_trace else None,
     )
 
 
-def run_ensemble(
-    cal: CalibratedNetwork,
-    policy: FundPolicy = FundPolicy(False),
-    *,
-    record_trace: bool = False,
-) -> CascadeEnsemble:
+def run_ensemble(cal: CalibratedNetwork) -> CascadeEnsemble:
     """One full-distress cascade per seed node, assembled in node order."""
     weights = propagation_weights(cal)
     outcomes = tuple(
-        run_cascade(
-            cal,
-            SeedSpec(seed=s, initial_distress=1.0),
-            policy,
-            weights=weights,
-            record_trace=record_trace,
-        )
+        run_cascade(cal, SeedSpec(seed=s, initial_distress=1.0), weights=weights)
         for s in range(cal.net.n_nodes)
     )
     return CascadeEnsemble(outcomes=outcomes, n_nodes=cal.net.n_nodes)

@@ -7,9 +7,9 @@ from typing import Optional
 import numpy as np
 
 from .calibration import CalibrationParams, calibrate
-from .contagion import FundPolicy, run_ensemble
+from .contagion import run_ensemble
 from .errors import InputError, ParameterError
-from .network import FinancialNetwork, node_strengths
+from .network import FinancialNetwork
 from .risk import (
     cascade_risk,
     conditional_default_matrix,
@@ -67,6 +67,7 @@ class PointResult:
     roi_nominal: np.ndarray
     roi_risk_adjusted: np.ndarray
     default_prob: np.ndarray
+    balance: np.ndarray
     market_roi_weighted: float
     market_roi_unweighted: float
 
@@ -79,14 +80,17 @@ def evaluate_point(
     rates: RoiRates = DEFAULT_RATES,
     p_exo: float = 0.001,
 ) -> PointResult:
-    """Calibrate, run the full seed ensemble with the fund, and reduce."""
+    """Calibrate, run the full seed ensemble with the fund, and reduce.
+
+    Impact is zero on an edgeless network; ROI is NaN when any node has
+    zero balance.
+    """
     cal = calibrate(net, CalibrationParams(beta=beta, eta=eta, alpha=alpha))
-    ensemble = run_ensemble(cal, FundPolicy(enabled=True))
+    ensemble = run_ensemble(cal)
     _, delta = conditional_default_matrix(ensemble)
     node_risk, system_risk = cascade_risk(delta, net.n_nodes)
-    strengths = node_strengths(net)
-    if np.sum(strengths.out_strength) > 0:
-        dr_nodes, dr_avg = debtrank_metric(ensemble, strengths)
+    if np.sum(cal.strengths.out_strength) > 0:
+        dr_nodes, dr_avg = debtrank_metric(ensemble, cal.strengths)
     else:  # edgeless network: no economic value at risk
         dr_nodes, dr_avg = np.zeros(net.n_nodes), 0.0
     p = default_probabilities(delta, p_exo)
@@ -108,6 +112,7 @@ def evaluate_point(
         roi_nominal=nominal,
         roi_risk_adjusted=adjusted,
         default_prob=p,
+        balance=cal.balance,
         market_roi_weighted=weighted,
         market_roi_unweighted=unweighted,
     )
@@ -173,7 +178,7 @@ def iso_curve(
         key = (eta, alpha)
         if key not in cache:
             cal = calibrate(net, CalibrationParams(beta=beta, eta=eta, alpha=alpha))
-            ensemble = run_ensemble(cal, FundPolicy(enabled=True))
+            ensemble = run_ensemble(cal)
             _, delta = conditional_default_matrix(ensemble)
             cache[key] = cascade_risk(delta, net.n_nodes)[1]
         return cache[key]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import datetime as dt
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -227,9 +228,16 @@ def write_snapshot(net: FinancialNetwork, path) -> None:
 
 
 def read_snapshot(path) -> FinancialNetwork:
-    """Read a snapshot written by :func:`write_snapshot`."""
-    nodes: list[str] = []
-    edges: list[tuple[str, str, float]] = []
+    """Read a snapshot written by :func:`write_snapshot`.
+
+    Every loan amount must be finite and positive, no loan may join a
+    node to itself or name an empty node id, no node or (lender,
+    borrower) pair may appear twice, and a ``# nodes=N edges=E`` header
+    must match the body. Violations raise an error naming the line.
+    """
+    declared: dict[str, None] = {}
+    edges: dict[tuple[str, str], float] = {}
+    header = None
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -240,25 +248,51 @@ def read_snapshot(path) -> FinancialNetwork:
         if not line:
             continue
         if line.startswith("# node "):
-            nodes.append(line[len("# node ") :])
+            node = line[len("# node ") :]
+            if node in declared:
+                raise InputError(f"{path}:{lineno}: duplicate node {node!r}")
+            declared[node] = None
+            continue
+        if line.startswith("# nodes="):
+            header = (lineno, line)
             continue
         if line.startswith("#"):
             continue
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 3:
             raise InputError(f"{path}:{lineno}: expected 3 fields")
+        lender, borrower, amount_text = parts
+        if not lender or not borrower:
+            raise InputError(f"{path}:{lineno}: empty node id")
         try:
-            edges.append((parts[0], parts[1], float(parts[2])))
+            amount = float(amount_text)
         except ValueError:
             raise InputError(f"{path}:{lineno}: unparseable amount") from None
-    index: dict[str, int] = {node: k for k, node in enumerate(nodes)}
-    for lender, borrower, _ in edges:
+        if not math.isfinite(amount) or amount <= 0:
+            raise InputError(
+                f"{path}:{lineno}: amount must be strictly positive, got {amount_text}"
+            )
+        if lender == borrower:
+            raise InputError(f"{path}:{lineno}: self-loop on node {lender!r} rejected")
+        if (lender, borrower) in edges:
+            raise InputError(f"{path}:{lineno}: duplicate loan {lender!r}->{borrower!r}")
+        edges[(lender, borrower)] = amount
+    index: dict[str, int] = {node: k for k, node in enumerate(declared)}
+    for lender, borrower in edges:
         for node in (lender, borrower):
             if node not in index:
                 index[node] = len(index)
     loans = {
-        (index[lender], index[borrower]): amount for lender, borrower, amount in edges
+        (index[lender], index[borrower]): amount
+        for (lender, borrower), amount in edges.items()
     }
+    if header is not None:
+        expected = f"# nodes={len(index)} edges={len(loans)}"
+        if header[1] != expected:
+            raise InputError(
+                f"{path}:{header[0]}: header {header[1]!r} disagrees with the body "
+                f"({expected[2:]})"
+            )
     return FinancialNetwork(tuple(index), loans)
 
 

@@ -92,9 +92,11 @@ def default_probabilities(delta: np.ndarray, p_exo: float) -> np.ndarray:
     p = (1.0 + delta) * p_exo
     bad = np.flatnonzero(p > 1.0)
     if bad.size:
+        largest = 1.0 / (1.0 + int(np.max(delta)))
         raise ParameterError(
             f"default probability exceeds 1 at node index {int(bad[0])} "
-            f"(delta={int(delta[bad[0]])}, p_exo={p_exo})"
+            f"(delta={int(delta[bad[0]])}, p_exo={p_exo}); set --p-exo to at most "
+            f"1/(1 + max delta) = {largest!r}"
         )
     return p
 

@@ -13,10 +13,6 @@ import numpy as np
 
 from .calibration import CalibratedNetwork
 from .errors import ParameterError
-from .network import node_strengths
-
-# Typical per-horizon rates for simulations.
-DEFAULT_RATES = None  # set below, after the dataclass definition
 
 
 @dataclass(frozen=True)
@@ -35,24 +31,8 @@ class RoiRates:
                 raise ParameterError(f"{name} must be finite")
 
 
+# Typical per-horizon rates for simulations.
 DEFAULT_RATES = RoiRates()
-
-
-@dataclass(frozen=True)
-class RoiReport:
-    """Per-node nominal and risk-adjusted ROI for one parameter point."""
-
-    nominal: np.ndarray
-    risk_adjusted: np.ndarray
-    default_prob: np.ndarray
-    external_assets: np.ndarray
-    alpha_used: float
-
-    def market_risk_adjusted(self, balance: np.ndarray) -> tuple[float, float]:
-        """(balance-weighted mean, unweighted mean) of risk-adjusted ROI."""
-        weighted = float(np.average(self.risk_adjusted, weights=balance))
-        unweighted = float(np.mean(self.risk_adjusted))
-        return weighted, unweighted
 
 
 def nominal_roi(cal: CalibratedNetwork, rates: RoiRates = DEFAULT_RATES) -> np.ndarray:
@@ -62,13 +42,9 @@ def nominal_roi(cal: CalibratedNetwork, rates: RoiRates = DEFAULT_RATES) -> np.n
      + roi_f * alpha * E] / B, where D = B - lent - E. With alpha = 0
     this is the plain no-fund nominal ROI.
     """
-    lent = node_strengths(cal.net).out_strength
+    lent = cal.strengths.out_strength
     balance = cal.balance
-    zero = np.flatnonzero(balance == 0.0)
-    if zero.size:
-        raise ParameterError(
-            f"node {cal.net.nodes[zero[0]]!r} has zero balance; ROI undefined"
-        )
+    require_positive_balance(cal.net.nodes, balance)
     alpha = cal.params.alpha
     external = cal.external_assets()
     if alpha == 0.0 or rates.roi_e == rates.roi_f:
@@ -84,6 +60,13 @@ def nominal_roi(cal: CalibratedNetwork, rates: RoiRates = DEFAULT_RATES) -> np.n
     return numerator / balance
 
 
+def require_positive_balance(nodes: tuple[str, ...], balance: np.ndarray) -> None:
+    """Raise naming the first node whose zero balance leaves ROI undefined."""
+    zero = np.flatnonzero(balance == 0.0)
+    if zero.size:
+        raise ParameterError(f"node {nodes[zero[0]]!r} has zero balance; ROI undefined")
+
+
 def risk_adjusted_roi(nominal: np.ndarray, default_prob: np.ndarray) -> np.ndarray:
     """ROI^RA = ROI^N * (1 - p) - p (total loss on default)."""
     nominal = np.asarray(nominal, dtype=np.float64)
@@ -91,20 +74,3 @@ def risk_adjusted_roi(nominal: np.ndarray, default_prob: np.ndarray) -> np.ndarr
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ParameterError("default probabilities must lie in [0, 1]")
     return nominal * (1.0 - p) - p
-
-
-def roi_report(
-    cal: CalibratedNetwork,
-    default_prob: np.ndarray,
-    rates: RoiRates = DEFAULT_RATES,
-) -> RoiReport:
-    """Bundle nominal and risk-adjusted ROI for one calibrated network."""
-    nominal = nominal_roi(cal, rates)
-    adjusted = risk_adjusted_roi(nominal, default_prob)
-    return RoiReport(
-        nominal=nominal,
-        risk_adjusted=adjusted,
-        default_prob=np.asarray(default_prob, dtype=np.float64),
-        external_assets=cal.external_assets(),
-        alpha_used=cal.params.alpha,
-    )

@@ -9,7 +9,6 @@ import pytest
 from ibrisk import (
     CalibrationParams,
     FinancialNetwork,
-    FundPolicy,
     RoiRates,
     SeedSpec,
     SyntheticSpec,
@@ -71,12 +70,12 @@ def grid_results(synthetic_networks):
 def test_criterion_1_t3_oracle_suite(t3):
     started = time.perf_counter()
     cal0 = calibrate(t3, CalibrationParams(BETA, 0.05, 0.0))
-    _, delta0 = conditional_default_matrix(run_ensemble(cal0, FundPolicy(True)))
+    _, delta0 = conditional_default_matrix(run_ensemble(cal0))
     assert delta0.tolist() == [0, 1, 2]
     assert abs(cascade_risk(delta0, 3)[1] - 0.5) <= TOL
 
     cal1 = calibrate(t3, CalibrationParams(BETA, 0.05, 1.0))
-    _, delta1 = conditional_default_matrix(run_ensemble(cal1, FundPolicy(True)))
+    _, delta1 = conditional_default_matrix(run_ensemble(cal1))
     assert delta1.tolist() == [0, 0, 0]
     assert abs(cascade_risk(delta1, 3)[1]) <= TOL
 
@@ -104,7 +103,7 @@ def test_criterion_2_brute_force_equivalence():
         for alpha in (0.0, 0.5, 1.0):
             cal = calibrate(net, CalibrationParams(BETA, eta, alpha))
             for seed in range(n):
-                engine = run_cascade(cal, SeedSpec(seed), FundPolicy(True))
+                engine = run_cascade(cal, SeedSpec(seed))
                 payouts = naive_payouts(loans, cal.fund_contribution.tolist(), seed)
                 h, defaulted, steps = naive_cascade(
                     n, loans, cal.reserve.tolist(), seed, payouts=payouts
@@ -135,7 +134,7 @@ def test_criterion_4_eta_zero_degeneracy(synthetic_networks, t3):
         values = []
         for alpha in DEFAULT_ALPHA_GRID:
             cal = calibrate(net, CalibrationParams(BETA, 0.0, alpha))
-            _, delta = conditional_default_matrix(run_ensemble(cal, FundPolicy(True)))
+            _, delta = conditional_default_matrix(run_ensemble(cal))
             values.append(cascade_risk(delta, net.n_nodes)[1])
         assert all(v == values[0] for v in values)
     _report("4 (eta=0 degeneracy)", started)
@@ -147,14 +146,14 @@ def test_criterion_5_scale_invariance(synthetic_networks, t3):
         strengths = node_strengths(net)
         for eta, alpha in [(0.005, 0.0), (0.005, 0.01), (0.02, 0.5)]:
             cal = calibrate(net, CalibrationParams(BETA, eta, alpha))
-            ens = run_ensemble(cal, FundPolicy(True))
+            ens = run_ensemble(cal)
             q, delta = conditional_default_matrix(ens)
             pc = cascade_risk(delta, net.n_nodes)[1]
             dr = debtrank_metric(ens, strengths)[1]
             for gamma in (0.1, 10.0, 1000.0):
                 scaled_net = net.scaled(gamma)
                 scal = calibrate(scaled_net, CalibrationParams(BETA, eta, alpha))
-                sens = run_ensemble(scal, FundPolicy(True))
+                sens = run_ensemble(scal)
                 _, sdelta = conditional_default_matrix(sens)
                 assert sdelta.tolist() == delta.tolist()
                 assert cascade_risk(sdelta, net.n_nodes)[1] == pc
@@ -167,7 +166,7 @@ def test_criterion_5_scale_invariance(synthetic_networks, t3):
         rng = np.random.default_rng(5)
         p_exo = rng.uniform(0.0005, 0.002, size=net.n_nodes)
         cal = calibrate(net, CalibrationParams(BETA, 0.005, 0.0))
-        q, _ = conditional_default_matrix(run_ensemble(cal, FundPolicy(True)))
+        q, _ = conditional_default_matrix(run_ensemble(cal))
         base = cascade_risk_general(q, p_exo)
         for gamma in (0.1, 10.0, 1000.0):
             scaled = cascade_risk_general(q, gamma * p_exo)
@@ -200,7 +199,7 @@ def test_criterion_6_roi_consistency(synthetic_networks):
         previous = None
         for alpha in DEFAULT_ALPHA_GRID:
             cal = calibrate(net, CalibrationParams(BETA, eta, alpha))
-            ens = run_ensemble(cal, FundPolicy(True))
+            ens = run_ensemble(cal)
             _, delta = conditional_default_matrix(ens)
             p = default_probabilities(delta, P_EXO)
             pipeline = risk_adjusted_roi(nominal_roi(cal, RATES), p)
@@ -233,7 +232,7 @@ def test_criterion_7_iso_curve_sanity(synthetic_networks):
     for net in synthetic_networks[:2]:
         eta0 = 0.005
         cal = calibrate(net, CalibrationParams(BETA, eta0, 0.0))
-        _, delta = conditional_default_matrix(run_ensemble(cal, FundPolicy(True)))
+        _, delta = conditional_default_matrix(run_ensemble(cal))
         if cascade_risk(delta, net.n_nodes)[1] <= 0:
             continue
         points = iso_curve(net, eta0, (0.0, 0.5, 1.0, 2.0, 4.0), BETA)
@@ -255,13 +254,13 @@ def test_criterion_8_strict_dr_reduction(synthetic_networks):
         strengths = node_strengths(net)
         for eta in (0.001, 0.005, 0.01):
             cal0 = calibrate(net, CalibrationParams(BETA, eta, 0.0))
-            ens0 = run_ensemble(cal0, FundPolicy(True))
+            ens0 = run_ensemble(cal0)
             _, delta0 = conditional_default_matrix(ens0)
             if cascade_risk(delta0, net.n_nodes)[1] <= 0:
                 continue
             dr0 = debtrank_metric(ens0, strengths)[1]
             cal1 = calibrate(net, CalibrationParams(BETA, eta, 0.01))
-            ens1 = run_ensemble(cal1, FundPolicy(True))
+            ens1 = run_ensemble(cal1)
             dr1 = debtrank_metric(ens1, strengths)[1]
             assert dr1 < dr0
             checked += 1

@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from ibrisk.cli import EXIT_BAD_ARGS, EXIT_CALIBRATION, EXIT_INPUT, EXIT_OK, main
+from ibrisk import experiments
+from ibrisk.cli import EXIT_BAD_ARGS, EXIT_CALIBRATION, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 
 T3_FILE = """\
 # canonical 3-node fixture
@@ -147,3 +148,102 @@ def test_snapshot_reload_pipeline(t3_file, tmp_path, capsys):
                     "--out", tmp_path / "o2"])
     assert code == EXIT_OK
     assert "p^C=0.5" in capsys.readouterr().out
+
+
+NODES_ABC = "# node a\n# node b\n# node c\n"
+
+
+# (command and flags, input, exit code, expected stderr). The input is
+# a snapshot body, an inline synth: spec, or None for the t3 edge
+# list; "{input}" in the message stands for the input path.
+ERROR_CASES = {
+    "nan-amount": (
+        ["risk"], "# nodes=3 edges=3\n" + NODES_ABC + "a,b,nan\nb,c,-5.0\nc,c,1.0\n",
+        EXIT_INPUT, "{input}:5: amount must be strictly positive, got nan",
+    ),
+    "negative-amount": (
+        ["risk"], "# nodes=3 edges=2\n" + NODES_ABC + "a,b,1.0\nb,c,-5.0\n",
+        EXIT_INPUT, "{input}:6: amount must be strictly positive, got -5.0",
+    ),
+    "zero-amount": (
+        ["risk"], "# nodes=3 edges=2\n" + NODES_ABC + "a,b,0.0\nb,c,1.0\n",
+        EXIT_INPUT, "{input}:5: amount must be strictly positive, got 0.0",
+    ),
+    "self-loop": (
+        ["risk"], "# nodes=3 edges=2\n" + NODES_ABC + "a,b,1.0\nc,c,1.0\n",
+        EXIT_INPUT, "{input}:6: self-loop on node 'c' rejected",
+    ),
+    "empty-node-id": (
+        ["risk"], "# nodes=3 edges=2\n" + NODES_ABC + "a,,1.0\nb,c,1.0\n",
+        EXIT_INPUT, "{input}:5: empty node id",
+    ),
+    "duplicate-loan": (
+        ["risk"], "# nodes=3 edges=1\n" + NODES_ABC + "a,b,1.0\na,b,2.0\n",
+        EXIT_INPUT, "{input}:6: duplicate loan 'a'->'b'",
+    ),
+    "duplicate-node": (
+        ["risk"], "# nodes=2 edges=1\n# node a\n# node a\na,b,1.0\n",
+        EXIT_INPUT, "{input}:3: duplicate node 'a'",
+    ),
+    "header-edges": (
+        ["risk"], "# nodes=3 edges=5\n" + NODES_ABC + "a,b,1.0\nb,c,1.0\n",
+        EXIT_INPUT, "{input}:1: header '# nodes=3 edges=5' disagrees with the body "
+        "(nodes=3 edges=2)",
+    ),
+    "header-nodes": (
+        ["risk"], "# nodes=2 edges=2\n" + NODES_ABC + "a,b,1.0\nb,c,1.0\n",
+        EXIT_INPUT, "{input}:1: header '# nodes=2 edges=2' disagrees with the body "
+        "(nodes=3 edges=2)",
+    ),
+    "bad-eta-increase": (
+        ["iso", "--eta-increases", "0.1,abc"], None,
+        EXIT_BAD_ARGS, "bad eta increase 'abc'",
+    ),
+    "bad-synth-int": (
+        ["synth"], "synth:n_nodes=abc", EXIT_BAD_ARGS, "bad synth spec n_nodes 'abc'",
+    ),
+    "p-exo-too-large": (
+        ["risk", "--alpha", 0, "--p-exo", 0.4], None,
+        EXIT_BAD_ARGS, "set --p-exo to at most 1/(1 + max delta) = 0.3333333333333333",
+    ),
+    "roi-zero-balance": (
+        ["roi"], "# nodes=3 edges=1\n" + NODES_ABC + "a,b,5.0\n",
+        EXIT_BAD_ARGS, "node 'c' has zero balance; ROI undefined",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_error_exit_codes(case, t3_file, tmp_path, capsys):
+    command, body, expected_code, message = ERROR_CASES[case]
+    source = t3_file
+    if body is not None and body.startswith("synth:"):
+        source = body
+    elif body is not None:
+        source = tmp_path / "snapshot.csv"
+        source.write_text(body)
+    code = run_cli([command[0], "--input", source, *command[1:], "--out", tmp_path / "o"])
+    err = capsys.readouterr().err
+    assert code == expected_code
+    assert err.count("\n") == 1, err  # one line, no traceback
+    assert message.format(input=source) in err
+
+
+def test_unexpected_exception_exits_internal(t3_file, tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(experiments, "evaluate_point", broken)
+    code = run_cli(["risk", "--input", t3_file, "--out", tmp_path / "o"])
+    assert code == EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+def test_risk_on_edgeless_snapshot(tmp_path, capsys):
+    source = tmp_path / "snapshot.csv"
+    source.write_text("# nodes=3 edges=0\n" + NODES_ABC)
+    code = run_cli(["risk", "--input", source, "--out", tmp_path / "o"])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.strip() == "p^C=0.0 N=3 defaults_total=0"
+    system = (tmp_path / "o" / "risk.csv").read_text().strip().splitlines()[-1]
+    assert system.split(",")[-1] == "0.0"  # impact

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibrisk import (
     CalibrationParams,
     FinancialNetwork,
-    FundPolicy,
     InputError,
     SeedSpec,
     calibrate,
@@ -40,7 +41,7 @@ def test_rescue_payouts_zero_without_tax(t3):
 
 def test_cascade_t3_no_fund_full_contagion(t3):
     cal = calibrate(t3, PARAMS)
-    outcome = run_cascade(cal, SeedSpec(0), FundPolicy(True), record_trace=True)
+    outcome = run_cascade(cal, SeedSpec(0), record_trace=True)
     assert outcome.final_distress.tolist() == [1.0, 1.0, 1.0]
     assert outcome.defaulted == {0, 1, 2}
     assert outcome.steps == 2
@@ -50,7 +51,7 @@ def test_cascade_t3_no_fund_full_contagion(t3):
 
 def test_cascade_t3_fund_stops_contagion(t3):
     cal = calibrate(t3, PARAMS_FUND)
-    outcome = run_cascade(cal, SeedSpec(0), FundPolicy(True))
+    outcome = run_cascade(cal, SeedSpec(0))
     # Payout 7 leaves a loss of 1 on node 2: h_2 = 1/4, h_3 = 0.25 * 2.
     assert outcome.final_distress.tolist() == [1.0, 0.25, 0.5]
     assert outcome.defaulted == {0}
@@ -58,7 +59,7 @@ def test_cascade_t3_fund_stops_contagion(t3):
 
 def test_cascade_seed_without_lenders(t3):
     cal = calibrate(t3, PARAMS)
-    outcome = run_cascade(cal, SeedSpec(2), FundPolicy(True))
+    outcome = run_cascade(cal, SeedSpec(2))
     assert outcome.defaulted == {2}
     assert outcome.steps == 1
 
@@ -77,20 +78,20 @@ def test_seed_counts_as_defaulted_for_partial_distress(t3):
 
 def test_ensemble_default_sets(t3):
     cal = calibrate(t3, PARAMS)
-    ens = run_ensemble(cal, FundPolicy(True))
+    ens = run_ensemble(cal)
     assert [sorted(o.defaulted) for o in ens.outcomes] == [[0, 1, 2], [1, 2], [2]]
 
 
 def test_ensemble_default_sets_with_fund(t3):
     cal = calibrate(t3, PARAMS_FUND)
-    ens = run_ensemble(cal, FundPolicy(True))
+    ens = run_ensemble(cal)
     assert [sorted(o.defaulted) for o in ens.outcomes] == [[0], [1], [2]]
 
 
 def test_edgeless_network_only_seed_defaults():
     net = FinancialNetwork(("a", "b"))
     cal = calibrate(net, PARAMS)
-    ens = run_ensemble(cal, FundPolicy(True))
+    ens = run_ensemble(cal)
     assert [sorted(o.defaulted) for o in ens.outcomes] == [[0], [1]]
 
 
@@ -119,7 +120,7 @@ def test_matches_naive_oracle(alpha):
         eta = float(rng.choice([0.0, 0.02, 0.05]))
         cal = calibrate(net, CalibrationParams(beta=10.0, eta=eta, alpha=alpha))
         for seed in range(net.n_nodes):
-            engine = run_cascade(cal, SeedSpec(seed), FundPolicy(True))
+            engine = run_cascade(cal, SeedSpec(seed))
             payouts = naive_payouts(net.loans, cal.fund_contribution.tolist(), seed)
             h, defaulted, steps = naive_cascade(
                 net.n_nodes, net.loans, cal.reserve.tolist(), seed, payouts=payouts
@@ -127,6 +128,41 @@ def test_matches_naive_oracle(alpha):
             assert engine.final_distress.tolist() == h
             assert engine.defaulted == defaulted
             assert engine.steps == steps
+
+
+@st.composite
+def small_networks(draw):
+    n = draw(st.integers(2, 5))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+    loans = {pair: draw(st.floats(0.5, 10.0)) for pair in sorted(chosen)}
+    return FinancialNetwork(tuple(str(k) for k in range(n)), loans)
+
+
+# A tiny eta can overflow loss / reserve to an infinite weight, which
+# the cap at 1 handles like a zero reserve; the oracle agrees.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(
+    net=small_networks(),
+    eta=st.floats(0.0, 0.2),
+    alpha=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+)
+def test_fund_path_matches_oracle_property(net, eta, alpha):
+    # alpha = 0 empties the fund: the cascade is the oracle's without
+    # payouts, so no separate fund switch is needed.
+    cal = calibrate(net, CalibrationParams(beta=10.0, eta=eta, alpha=alpha))
+    for seed in range(net.n_nodes):
+        engine = run_cascade(cal, SeedSpec(seed))
+        payouts = None
+        if alpha > 0.0:
+            payouts = naive_payouts(net.loans, cal.fund_contribution.tolist(), seed)
+        h, defaulted, steps = naive_cascade(
+            net.n_nodes, net.loans, cal.reserve.tolist(), seed, payouts=payouts
+        )
+        assert engine.final_distress.tolist() == h
+        assert engine.defaulted == defaulted
+        assert engine.steps == steps
 
 
 def test_monotone_in_alpha(t3):
@@ -137,7 +173,7 @@ def test_monotone_in_alpha(t3):
             previous = None
             for alpha in [0.0, 0.25, 0.5, 0.75, 1.0]:
                 cal = calibrate(net, CalibrationParams(10.0, 0.02, alpha))
-                h = run_cascade(cal, SeedSpec(seed), FundPolicy(True)).final_distress
+                h = run_cascade(cal, SeedSpec(seed)).final_distress
                 if previous is not None:
                     assert np.all(h <= previous + 1e-15)
                 previous = h
@@ -151,7 +187,7 @@ def test_monotone_in_eta():
             previous = None
             for eta in [0.0, 0.005, 0.01, 0.02, 0.05]:
                 cal = calibrate(net, CalibrationParams(10.0, eta, 0.5))
-                h = run_cascade(cal, SeedSpec(seed), FundPolicy(True)).final_distress
+                h = run_cascade(cal, SeedSpec(seed)).final_distress
                 if previous is not None:
                     assert np.all(h <= previous + 1e-15)
                 previous = h
@@ -177,7 +213,7 @@ def test_distress_nondecreasing_and_capped(t3):
 
 def test_deterministic(t3):
     cal = calibrate(t3, PARAMS_FUND)
-    a = run_cascade(cal, SeedSpec(0), FundPolicy(True))
-    b = run_cascade(cal, SeedSpec(0), FundPolicy(True))
+    a = run_cascade(cal, SeedSpec(0))
+    b = run_cascade(cal, SeedSpec(0))
     assert a.final_distress.tolist() == b.final_distress.tolist()
     assert a.defaulted == b.defaulted

@@ -4,7 +4,6 @@ import pytest
 from ibrisk import (
     CalibrationParams,
     FinancialNetwork,
-    FundPolicy,
     InvariantError,
     ParameterError,
     calibrate,
@@ -24,7 +23,7 @@ PARAMS_FUND = CalibrationParams(beta=10.0, eta=0.05, alpha=1.0)
 
 
 def _t3_ensemble(t3, params):
-    return run_ensemble(calibrate(t3, params), FundPolicy(True))
+    return run_ensemble(calibrate(t3, params))
 
 
 def test_delta_t3(t3):
@@ -46,7 +45,7 @@ def test_q_matrix_excludes_diagonal(t3):
 
 def test_edgeless_network_zero_delta():
     net = FinancialNetwork(("a", "b", "c"))
-    ens = run_ensemble(calibrate(net, PARAMS), FundPolicy(True))
+    ens = run_ensemble(calibrate(net, PARAMS))
     q, delta = conditional_default_matrix(ens)
     assert not np.any(q)
     assert not np.any(delta)
@@ -144,7 +143,7 @@ def test_debtrank_t3(t3):
 
 def test_debtrank_rejects_zero_lending():
     net = FinancialNetwork(("a", "b"))
-    ens = run_ensemble(calibrate(net, PARAMS), FundPolicy(True))
+    ens = run_ensemble(calibrate(net, PARAMS))
     with pytest.raises(ParameterError):
         debtrank_metric(ens, node_strengths(net))
 

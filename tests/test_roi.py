@@ -4,16 +4,15 @@ import pytest
 from ibrisk import (
     CalibrationParams,
     FinancialNetwork,
-    FundPolicy,
     ParameterError,
     RoiRates,
     calibrate,
     cascade_risk,
     conditional_default_matrix,
     default_probabilities,
+    evaluate_point,
     nominal_roi,
     risk_adjusted_roi,
-    roi_report,
     run_ensemble,
 )
 
@@ -86,7 +85,7 @@ def test_pipeline_matches_direct_fund_formula(t3):
     # Recompose the fund-aware risk-adjusted ROI term by term.
     alpha, p_exo = 1.0, 0.001
     cal = calibrate(t3, CalibrationParams(beta=10.0, eta=0.05, alpha=alpha))
-    ens = run_ensemble(cal, FundPolicy(True))
+    ens = run_ensemble(cal)
     _, delta = conditional_default_matrix(ens)
     p = default_probabilities(delta, p_exo)
     pipeline = risk_adjusted_roi(nominal_roi(cal, RATES), p)
@@ -102,15 +101,16 @@ def test_pipeline_matches_direct_fund_formula(t3):
     assert np.allclose(pipeline, direct, rtol=1e-12, atol=0.0)
 
 
-def test_roi_report_aggregates(t3):
+def test_evaluate_point_roi_aggregates(t3):
     cal = calibrate(t3, CalibrationParams(beta=10.0, eta=0.05, alpha=0.0))
-    p = np.array([0.001, 0.002, 0.003])
-    report = roi_report(cal, p, RATES)
-    weighted, unweighted = report.market_risk_adjusted(cal.balance)
-    assert unweighted == pytest.approx(float(np.mean(report.risk_adjusted)), abs=0)
+    point = evaluate_point(t3, 10.0, 0.05, 0.0, RATES, 0.001)
+    assert point.default_prob.tolist() == [0.001, 0.002, 0.003]
+    unweighted = point.market_roi_unweighted
+    weighted = point.market_roi_weighted
+    assert unweighted == pytest.approx(float(np.mean(point.roi_risk_adjusted)), abs=0)
     assert weighted == pytest.approx(
-        float(np.sum(report.risk_adjusted * cal.balance) / np.sum(cal.balance)),
+        float(np.sum(point.roi_risk_adjusted * cal.balance) / np.sum(cal.balance)),
         rel=1e-15,
     )
-    assert np.all(report.risk_adjusted <= report.nominal)
-    assert np.all(report.external_assets >= 0)
+    assert np.all(point.roi_risk_adjusted <= point.roi_nominal)
+    assert np.all(cal.external_assets() >= 0)
