@@ -71,18 +71,17 @@ class PropagationWeights:
         return len(self.src)
 
 
-def edge_weight(loss: float, reserve: float) -> float:
-    """Weight of one propagation edge.
+def edge_weights(loss: np.ndarray, reserve: np.ndarray) -> np.ndarray:
+    """Weight of each propagation edge, elementwise loss / reserve.
 
     A zero reserve means any positive loss defaults the lender, so the
     weight is +inf (the distress update caps it at 1). A zero loss
-    (fully compensated exposure) propagates nothing.
+    (fully compensated exposure) propagates nothing. A reserve so small
+    that the quotient overflows gives +inf as well.
     """
-    if loss <= 0.0:
-        return 0.0
-    if reserve == 0.0:
-        return np.inf
-    return loss / reserve
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        weight = np.where(reserve == 0.0, np.inf, loss / reserve)
+    return np.where(loss <= 0.0, 0.0, weight)
 
 
 def calibrate(net: FinancialNetwork, params: CalibrationParams) -> CalibratedNetwork:
@@ -109,12 +108,7 @@ def calibrate(net: FinancialNetwork, params: CalibrationParams) -> CalibratedNet
 
 def propagation_weights(cal: CalibratedNetwork) -> PropagationWeights:
     """One propagation edge per loan, reversed relative to the loan."""
-    edges = sorted((j, i, amount) for (i, j), amount in cal.net.loans.items())
-    src = np.array([e[0] for e in edges], dtype=np.int64)
-    dst = np.array([e[1] for e in edges], dtype=np.int64)
-    loss = np.array([e[2] for e in edges], dtype=np.float64)
-    weight = np.array(
-        [edge_weight(e[2], float(cal.reserve[e[1]])) for e in edges],
-        dtype=np.float64,
-    )
-    return PropagationWeights(src, dst, loss, weight)
+    lender, borrower, amount = cal.net.coo
+    order = np.lexsort((lender, borrower))
+    src, dst, loss = borrower[order], lender[order], amount[order]
+    return PropagationWeights(src, dst, loss, edge_weights(loss, cal.reserve[dst]))

@@ -116,6 +116,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if args.config:
         for key, text in _read_config_file(args.config).items():
             norm = key.replace("-", "_")
+            if norm not in config:
+                raise ParameterError(f"{args.config}: unknown config key {key!r}")
             if norm in _FLOAT_KEYS:
                 try:
                     config[norm] = float(text)
@@ -284,8 +286,9 @@ def cmd_risk(config: dict, out_dir: Path) -> str:
 
 def cmd_roi(config: dict, out_dir: Path) -> str:
     net = load_network(config)
+    # ROI is undefined at a zero balance: fail before the seed ensemble runs.
+    roi.require_positive_balance(net.nodes, calibrate(net, _params(config)).balance)
     point = _evaluate(config, net)
-    roi.require_positive_balance(net.nodes, point.balance)
     rows = [
         [net.nodes[i], float(point.roi_nominal[i]), float(point.roi_risk_adjusted[i]),
          float(point.default_prob[i])]

@@ -67,7 +67,6 @@ class PointResult:
     roi_nominal: np.ndarray
     roi_risk_adjusted: np.ndarray
     default_prob: np.ndarray
-    balance: np.ndarray
     market_roi_weighted: float
     market_roi_unweighted: float
 
@@ -112,7 +111,6 @@ def evaluate_point(
         roi_nominal=nominal,
         roi_risk_adjusted=adjusted,
         default_prob=p,
-        balance=cal.balance,
         market_roi_weighted=weighted,
         market_roi_unweighted=unweighted,
     )

@@ -7,9 +7,11 @@ Loan amounts A[i, j] mean "node i lent this much to node j".
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -54,11 +56,28 @@ class FinancialNetwork:
         except ValueError:
             raise InputError(f"unknown node id {node_id!r}") from None
 
+    @cached_property
+    def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (lender, borrower, amount) arrays in (lender, borrower) order.
+
+        Built on first use and kept: ``loans`` must not change afterwards.
+        """
+        m = len(self.loans)
+        pairs = np.fromiter(
+            itertools.chain.from_iterable(self.loans), dtype=np.int64, count=2 * m
+        ).reshape(m, 2)
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        lender, borrower = pairs[order, 0], pairs[order, 1]
+        amount = np.fromiter(self.loans.values(), dtype=np.float64, count=m)[order]
+        for array in (lender, borrower, amount):
+            array.flags.writeable = False
+        return lender, borrower, amount
+
     def matrix(self) -> np.ndarray:
         """Dense loan matrix A with A[i, j] = amount i lent to j."""
         a = np.zeros((self.n_nodes, self.n_nodes))
-        for (i, j), amount in self.loans.items():
-            a[i, j] = amount
+        lender, borrower, amount = self.coo
+        a[lender, borrower] = amount
         return a
 
     def scaled(self, gamma: float) -> "FinancialNetwork":
@@ -182,17 +201,19 @@ def aggregate_window(
 
 
 def node_strengths(net: FinancialNetwork) -> NodeStrengths:
-    """Out/in strengths (total lent/borrowed) and degrees per node."""
+    """Out/in strengths (total lent/borrowed) and degrees per node.
+
+    Each strength is summed one loan at a time in (lender, borrower)
+    order, so its bits do not depend on how the loans were inserted.
+    """
     n = net.n_nodes
+    lender, borrower, amount = net.coo
     out_s = np.zeros(n)
     in_s = np.zeros(n)
-    out_k = np.zeros(n, dtype=np.int64)
-    in_k = np.zeros(n, dtype=np.int64)
-    for (i, j), amount in sorted(net.loans.items()):
-        out_s[i] += amount
-        in_s[j] += amount
-        out_k[i] += 1
-        in_k[j] += 1
+    np.add.at(out_s, lender, amount)
+    np.add.at(in_s, borrower, amount)
+    out_k = np.bincount(lender, minlength=n)
+    in_k = np.bincount(borrower, minlength=n)
     return NodeStrengths(out_s, in_s, out_k, in_k)
 
 

@@ -23,17 +23,12 @@ def conditional_default_matrix(ens: CascadeEnsemble) -> tuple[np.ndarray, np.nda
     non-self runs in which node i defaulted.
     """
     n = ens.n_nodes
-    if len(ens.outcomes) != n:
+    if ens.defaulted.shape != (n, n):
         raise InvariantError(
-            f"incomplete ensemble: {len(ens.outcomes)} outcomes for {n} nodes"
+            f"incomplete ensemble: {ens.defaulted.shape[0]} seeds for {n} nodes"
         )
-    q = np.zeros((n, n), dtype=np.int8)
-    for j, outcome in enumerate(ens.outcomes):
-        if outcome.seed != j:
-            raise InvariantError("ensemble outcomes are not in node order")
-        for i in outcome.defaulted:
-            if i != j:
-                q[i, j] = 1
+    q = ens.defaulted.T.astype(np.int8)
+    np.fill_diagonal(q, 0)
     delta = q.sum(axis=1, dtype=np.int64)
     return q, delta
 
@@ -118,9 +113,8 @@ def debtrank_metric(
         values = strengths.out_strength / total
     else:
         values = np.asarray(values, dtype=np.float64)
-    per_seed = np.empty(len(ens.outcomes))
-    for j, outcome in enumerate(ens.outcomes):
-        per_seed[j] = float(outcome.final_distress @ values) - (
-            outcome.initial_distress * values[outcome.seed]
-        )
+    # One 1-D dot per seed: a matrix-vector product may sum in another
+    # order. Every seed starts fully distressed, so its own share is
+    # values[seed].
+    per_seed = np.array([row @ values for row in ens.final_distress]) - values
     return per_seed, float(np.mean(per_seed))

@@ -157,8 +157,8 @@ def test_criterion_5_scale_invariance(synthetic_networks, t3):
                 _, sdelta = conditional_default_matrix(sens)
                 assert sdelta.tolist() == delta.tolist()
                 assert cascade_risk(sdelta, net.n_nodes)[1] == pc
-                for a, b in zip(sens.outcomes, ens.outcomes):
-                    assert a.defaulted == b.defaulted
+                for a, b in zip(sens.defaulted, ens.defaulted):
+                    assert a.tolist() == b.tolist()
                 sdr = debtrank_metric(sens, node_strengths(scaled_net))[1]
                 assert abs(sdr - dr) <= TOL
         # Heterogeneous exogenous vector scaling leaves the general

@@ -155,7 +155,9 @@ NODES_ABC = "# node a\n# node b\n# node c\n"
 
 # (command and flags, input, exit code, expected stderr). The input is
 # a snapshot body, an inline synth: spec, or None for the t3 edge
-# list; "{input}" in the message stands for the input path.
+# list; "{input}" in the message stands for the input path, and
+# "{config}" in a flag or the message for a config file holding a
+# misspelt key.
 ERROR_CASES = {
     "nan-amount": (
         ["risk"], "# nodes=3 edges=3\n" + NODES_ABC + "a,b,nan\nb,c,-5.0\nc,c,1.0\n",
@@ -206,6 +208,10 @@ ERROR_CASES = {
         ["risk", "--alpha", 0, "--p-exo", 0.4], None,
         EXIT_BAD_ARGS, "set --p-exo to at most 1/(1 + max delta) = 0.3333333333333333",
     ),
+    "unknown-config-key": (
+        ["risk", "--config", "{config}"], None,
+        EXIT_BAD_ARGS, "{config}: unknown config key 'etta'",
+    ),
     "roi-zero-balance": (
         ["roi"], "# nodes=3 edges=1\n" + NODES_ABC + "a,b,5.0\n",
         EXIT_BAD_ARGS, "node 'c' has zero balance; ROI undefined",
@@ -222,11 +228,26 @@ def test_error_exit_codes(case, t3_file, tmp_path, capsys):
     elif body is not None:
         source = tmp_path / "snapshot.csv"
         source.write_text(body)
-    code = run_cli([command[0], "--input", source, *command[1:], "--out", tmp_path / "o"])
+    config = tmp_path / "typo.conf"
+    config.write_text("etta=0.1\n")
+    flags = [str(flag).format(config=config) for flag in command[1:]]
+    code = run_cli([command[0], "--input", source, *flags, "--out", tmp_path / "o"])
     err = capsys.readouterr().err
     assert code == expected_code
     assert err.count("\n") == 1, err  # one line, no traceback
-    assert message.format(input=source) in err
+    assert message.format(input=source, config=config) in err
+
+
+def test_roi_zero_balance_fails_before_ensemble(tmp_path, capsys, monkeypatch):
+    def no_ensemble(cal):
+        raise AssertionError("the seed ensemble ran")
+
+    monkeypatch.setattr(experiments, "run_ensemble", no_ensemble)
+    source = tmp_path / "snapshot.csv"
+    source.write_text("# nodes=3 edges=1\n" + NODES_ABC + "a,b,5.0\n")
+    code = run_cli(["roi", "--input", source, "--out", tmp_path / "o"])
+    assert code == EXIT_BAD_ARGS
+    assert capsys.readouterr().err == "error: node 'c' has zero balance; ROI undefined\n"
 
 
 def test_unexpected_exception_exits_internal(t3_file, tmp_path, capsys, monkeypatch):

@@ -53,7 +53,12 @@ def test_edgeless_network_zero_delta():
 
 def test_incomplete_ensemble_rejected(t3):
     ens = _t3_ensemble(t3, PARAMS)
-    broken = CascadeEnsemble(outcomes=ens.outcomes[:2], n_nodes=3)
+    broken = CascadeEnsemble(
+        final_distress=ens.final_distress[:2],
+        steps=ens.steps[:2],
+        defaulted=ens.defaulted[:2],
+        n_nodes=3,
+    )
     with pytest.raises(InvariantError):
         conditional_default_matrix(broken)
 
@@ -75,7 +80,7 @@ def test_cascade_risk_cross_check(t3):
     # System risk equals total non-seed defaults / (N (N-1)).
     ens = _t3_ensemble(t3, PARAMS)
     _, delta = conditional_default_matrix(ens)
-    total_non_seed = sum(len(o.defaulted) - 1 for o in ens.outcomes)
+    total_non_seed = sum(int(row.sum()) - 1 for row in ens.defaulted)
     assert cascade_risk(delta, 3)[1] == total_non_seed / (3 * 2)
 
 
@@ -158,8 +163,8 @@ def test_debtrank_injectable_values(t3):
 def test_monotone_dominance(t3):
     base = _t3_ensemble(t3, PARAMS)
     fund = _t3_ensemble(t3, PARAMS_FUND)
-    for a, b in zip(fund.outcomes, base.outcomes):
-        assert a.defaulted <= b.defaulted
+    for a, b in zip(fund.defaulted, base.defaulted):
+        assert np.all(b[a])  # every default with the fund is one without
     _, delta_base = conditional_default_matrix(base)
     _, delta_fund = conditional_default_matrix(fund)
     assert cascade_risk(delta_fund, 3)[1] <= cascade_risk(delta_base, 3)[1]
