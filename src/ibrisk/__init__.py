@@ -40,7 +40,7 @@ from .experiments import (
 from .network import (
     FinancialNetwork,
     NodeStrengths,
-    TransactionRecord,
+    Trades,
     aggregate_window,
     ingest_file,
     ingest_transactions,

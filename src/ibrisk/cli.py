@@ -190,10 +190,10 @@ def load_network(config: dict) -> FinancialNetwork:
         raise InputError(f"input file not found: {path}")
     if network.is_snapshot_file(path):
         return network.read_snapshot(path)
-    records = network.ingest_file(path)
+    trades = network.ingest_file(path)
     start = _parse_date(config["window_start"], "window start") if config["window_start"] else None
     end = _parse_date(config["window_end"], "window end") if config["window_end"] else None
-    return network.aggregate_window(records, start, end)
+    return network.aggregate_window(trades, start, end)
 
 
 def _write_run_cfg(config: dict, out_dir: Path) -> None:

@@ -154,8 +154,9 @@ NODES_ABC = "# node a\n# node b\n# node c\n"
 
 
 # (command and flags, input, exit code, expected stderr). The input is
-# a snapshot body, an inline synth: spec, or None for the t3 edge
-# list; "{input}" in the message stands for the input path, and
+# a file body (text, or bytes that need not be UTF-8), an inline synth:
+# spec, or None for the t3 edge list; "{input}" in the message stands
+# for the input path, and
 # "{config}" in a flag or the message for a config file holding a
 # misspelt key.
 ERROR_CASES = {
@@ -212,6 +213,14 @@ ERROR_CASES = {
         ["risk", "--config", "{config}"], None,
         EXIT_BAD_ARGS, "{config}: unknown config key 'etta'",
     ),
+    "non-utf8-trades": (
+        ["ingest"], b"2,1,8.0,2000-04-03\n3,2,6.0,2000-04-03 \xff\n",
+        EXIT_INPUT, "{input}:2: not valid UTF-8 text",
+    ),
+    "non-utf8-snapshot": (
+        ["risk"], b"# nodes=2 edges=1\n# node a\n# node \xe9\na,\xe9,1.0\n",
+        EXIT_INPUT, "{input}:3: not valid UTF-8 text",
+    ),
     "roi-zero-balance": (
         ["roi"], "# nodes=3 edges=1\n" + NODES_ABC + "a,b,5.0\n",
         EXIT_BAD_ARGS, "node 'c' has zero balance; ROI undefined",
@@ -223,7 +232,10 @@ ERROR_CASES = {
 def test_error_exit_codes(case, t3_file, tmp_path, capsys):
     command, body, expected_code, message = ERROR_CASES[case]
     source = t3_file
-    if body is not None and body.startswith("synth:"):
+    if isinstance(body, bytes):
+        source = tmp_path / "snapshot.csv"
+        source.write_bytes(body)
+    elif body is not None and body.startswith("synth:"):
         source = body
     elif body is not None:
         source = tmp_path / "snapshot.csv"
