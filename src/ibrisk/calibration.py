@@ -108,7 +108,7 @@ def calibrate(net: FinancialNetwork, params: CalibrationParams) -> CalibratedNet
 
 def propagation_weights(cal: CalibratedNetwork) -> PropagationWeights:
     """One propagation edge per loan, reversed relative to the loan."""
-    lender, borrower, amount = cal.net.coo
-    order = np.lexsort((lender, borrower))
-    src, dst, loss = borrower[order], lender[order], amount[order]
+    net = cal.net
+    order = np.lexsort((net.lender, net.borrower))
+    src, dst, loss = net.borrower[order], net.lender[order], net.amount[order]
     return PropagationWeights(src, dst, loss, edge_weights(loss, cal.reserve[dst]))

@@ -229,11 +229,8 @@ def _params(config: dict) -> CalibrationParams:
 
 def cmd_ingest(config: dict, out_dir: Path) -> str:
     net = load_network(config)
-    report = network.validate_network(net)
-    for warning in report.warnings:
+    for warning in network.validate_network(net):
         logger.warning(warning)
-    if not report.ok:
-        raise InputError("; ".join(report.violations))
     network.write_snapshot(net, out_dir / "network.csv")
     return f"nodes={net.n_nodes} edges={net.n_edges}"
 

@@ -71,6 +71,14 @@ class PointResult:
     market_roi_unweighted: float
 
 
+def _defaults_per_node(net: FinancialNetwork, beta: float, eta: float, alpha: float):
+    """Calibrate and run the fund-on seed ensemble: (calibration, ensemble, delta)."""
+    cal = calibrate(net, CalibrationParams(beta=beta, eta=eta, alpha=alpha))
+    ensemble = run_ensemble(cal)
+    _, delta = conditional_default_matrix(ensemble)
+    return cal, ensemble, delta
+
+
 def evaluate_point(
     net: FinancialNetwork,
     beta: float,
@@ -84,9 +92,7 @@ def evaluate_point(
     Impact is zero on an edgeless network; ROI is NaN when any node has
     zero balance.
     """
-    cal = calibrate(net, CalibrationParams(beta=beta, eta=eta, alpha=alpha))
-    ensemble = run_ensemble(cal)
-    _, delta = conditional_default_matrix(ensemble)
+    cal, ensemble, delta = _defaults_per_node(net, beta, eta, alpha)
     node_risk, system_risk = cascade_risk(delta, net.n_nodes)
     if np.sum(cal.strengths.out_strength) > 0:
         dr_nodes, dr_avg = debtrank_metric(ensemble, cal.strengths)
@@ -175,9 +181,7 @@ def iso_curve(
     def pc_at(eta: float, alpha: float) -> float:
         key = (eta, alpha)
         if key not in cache:
-            cal = calibrate(net, CalibrationParams(beta=beta, eta=eta, alpha=alpha))
-            ensemble = run_ensemble(cal)
-            _, delta = conditional_default_matrix(ensemble)
+            delta = _defaults_per_node(net, beta, eta, alpha)[2]
             cache[key] = cascade_risk(delta, net.n_nodes)[1]
         return cache[key]
 
@@ -225,8 +229,8 @@ class SyntheticSpec:
             raise ParameterError(
                 f"density {self.density} infeasible for N={self.n_nodes}"
             )
-        if self.heterogeneity <= 1.0:
-            raise ParameterError("heterogeneity exponent must exceed 1")
+        if not self.heterogeneity > 1.0:  # also rejects NaN
+            raise ParameterError(f"heterogeneity exponent must exceed 1, got {self.heterogeneity}")
         if not 0.0 < self.core_fraction <= 1.0:
             raise ParameterError("core fraction must be in (0, 1]")
 
@@ -270,15 +274,12 @@ def generate_synthetic(spec: SyntheticSpec) -> FinancialNetwork:
 
     jitter = rng.uniform(0.5, 1.5, size=(n, n))
     nodes = tuple(f"n{k:03d}" for k in range(n))
-    loans: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        out = np.flatnonzero(adjacency[i])
-        if out.size == 0:
-            continue
-        # Split the lender's strength across its loans proportionally to
-        # borrower strength: exposures to small counterparties stay small
-        # relative to the lender's reserve, as in real networks.
-        shares = strengths[out] / strengths[out].sum()
-        for j, share in zip(out, shares):
-            loans[(i, int(j))] = float(strengths[i] * share * jitter[i, j])
-    return FinancialNetwork(nodes, loans)
+    # Split the lender's strength across its loans proportionally to
+    # borrower strength: exposures to small counterparties stay small
+    # relative to the lender's reserve, as in real networks. Each row total
+    # is a numpy sum of its own; a segmented sum would add in another order.
+    lender, borrower = np.nonzero(adjacency)
+    row_total = np.array([strengths[adjacency[i]].sum() for i in range(n)])
+    shares = strengths[borrower] / row_total[lender]
+    amount = strengths[lender] * shares * jitter[lender, borrower]
+    return FinancialNetwork(nodes, lender, borrower, amount)

@@ -9,8 +9,7 @@ from __future__ import annotations
 import datetime as dt
 import itertools
 import logging
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -46,16 +45,65 @@ class Trades:
         return len(self.amount)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinancialNetwork:
     """Immutable weighted directed lending network.
 
-    ``nodes`` fixes the index order; ``loans`` maps (lender_idx,
-    borrower_idx) to the aggregated positive amount.
+    ``nodes`` fixes the index order; loan k is ``amount[k]`` lent by node
+    ``lender[k]`` to node ``borrower[k]``. The constructor stores these as
+    read-only int64, int64 and float64 arrays sorted by (lender, borrower)
+    and raises InputError for columns of different lengths, indices that
+    are not integers in [0, N), self-loops, amounts that are not finite
+    and positive, and a repeated pair. Equality compares every bit.
     """
 
     nodes: tuple[str, ...]
-    loans: dict[tuple[int, int], float] = field(default_factory=dict)
+    lender: np.ndarray = ()
+    borrower: np.ndarray = ()
+    amount: np.ndarray = ()
+
+    def __post_init__(self):
+        lender, borrower = np.asarray(self.lender), np.asarray(self.borrower)
+        amount = np.asarray(self.amount, dtype=np.float64)
+        if not (lender.ndim == borrower.ndim == amount.ndim == 1
+                and lender.size == borrower.size == amount.size):
+            shapes = (lender.shape, borrower.shape, amount.shape)
+            raise InputError(f"loan columns must be 1-D and of one length, got shapes {shapes}")
+        if amount.size and not (lender.dtype.kind in "iu" and borrower.dtype.kind in "iu"):
+            raise InputError("loan node indices must be integers")
+        lender, borrower = lender.astype(np.int64), borrower.astype(np.int64)
+        n = len(self.nodes)
+        k = _first((lender < 0) | (lender >= n) | (borrower < 0) | (borrower >= n))
+        if k is not None:
+            raise InputError(f"loan {lender[k]}->{borrower[k]} has a node index outside [0, {n})")
+        k = _first(lender == borrower)
+        if k is not None:
+            raise InputError(f"self-loop on node {self.nodes[lender[k]]!r} rejected")
+        k = _first(~(np.isfinite(amount) & (amount > 0)))
+        if k is not None:
+            raise InputError(
+                f"loan {self._pair(lender[k], borrower[k])}: amount must be finite "
+                f"and strictly positive, got {amount[k]}"
+            )
+        order = np.lexsort((borrower, lender))
+        lender, borrower, amount = lender[order], borrower[order], amount[order]
+        k = _first((lender[1:] == lender[:-1]) & (borrower[1:] == borrower[:-1]))
+        if k is not None:
+            raise InputError(f"duplicate loan {self._pair(lender[k], borrower[k])}")
+        for name, array in (("lender", lender), ("borrower", borrower), ("amount", amount)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def _pair(self, lender: int, borrower: int) -> str:
+        return f"{self.nodes[lender]!r}->{self.nodes[borrower]!r}"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FinancialNetwork):
+            return NotImplemented
+        return self.nodes == other.nodes and all(
+            getattr(self, name).tobytes() == getattr(other, name).tobytes()
+            for name in ("lender", "borrower", "amount")
+        )
 
     @property
     def n_nodes(self) -> int:
@@ -63,7 +111,7 @@ class FinancialNetwork:
 
     @property
     def n_edges(self) -> int:
-        return len(self.loans)
+        return self.amount.size
 
     def index_of(self, node_id: str) -> int:
         try:
@@ -71,37 +119,17 @@ class FinancialNetwork:
         except ValueError:
             raise InputError(f"unknown node id {node_id!r}") from None
 
-    @cached_property
-    def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (lender, borrower, amount) arrays in (lender, borrower) order.
-
-        Built on first use and kept: ``loans`` must not change afterwards.
-        """
-        m = len(self.loans)
-        pairs = np.fromiter(
-            itertools.chain.from_iterable(self.loans), dtype=np.int64, count=2 * m
-        ).reshape(m, 2)
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        lender, borrower = pairs[order, 0], pairs[order, 1]
-        amount = np.fromiter(self.loans.values(), dtype=np.float64, count=m)[order]
-        for array in (lender, borrower, amount):
-            array.flags.writeable = False
-        return lender, borrower, amount
-
     def matrix(self) -> np.ndarray:
         """Dense loan matrix A with A[i, j] = amount i lent to j."""
         a = np.zeros((self.n_nodes, self.n_nodes))
-        lender, borrower, amount = self.coo
-        a[lender, borrower] = amount
+        a[self.lender, self.borrower] = self.amount
         return a
 
     def scaled(self, gamma: float) -> "FinancialNetwork":
         """Copy of the network with every loan multiplied by gamma > 0."""
         if gamma <= 0:
             raise InputError("scale factor must be positive")
-        return FinancialNetwork(
-            self.nodes, {k: gamma * v for k, v in self.loans.items()}
-        )
+        return FinancialNetwork(self.nodes, self.lender, self.borrower, self.amount * gamma)
 
 
 @dataclass(frozen=True)
@@ -112,16 +140,6 @@ class NodeStrengths:
     in_strength: np.ndarray  # total borrowed, S^B
     out_degree: np.ndarray
     in_degree: np.ndarray
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-    warnings: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def _first(mask: np.ndarray) -> Optional[int]:
@@ -310,65 +328,47 @@ def aggregate_window(
     position = np.empty(len(trades.names), dtype=np.int64)
     position[codes] = np.arange(codes.size)
     n = codes.size
-    pairs, first, slot = np.unique(
-        position[lender] * n + position[borrower], return_index=True, return_inverse=True
-    )
+    pairs, slot = np.unique(position[lender] * n + position[borrower], return_inverse=True)
     totals = np.zeros(pairs.size)
     np.add.at(totals, slot, amount)
-    order = np.argsort(first)  # the pairs as a row-by-row dict would insert them
-    pairs = pairs[order]
-    loans = dict(zip(zip((pairs // n).tolist(), (pairs % n).tolist()), totals[order].tolist()))
-    return FinancialNetwork(tuple(trades.names[c] for c in codes.tolist()), loans)
+    nodes = tuple(trades.names[c] for c in codes.tolist())
+    return FinancialNetwork(nodes, pairs // n, pairs % n, totals)
 
 
 def node_strengths(net: FinancialNetwork) -> NodeStrengths:
     """Out/in strengths (total lent/borrowed) and degrees per node.
 
-    Each strength is summed one loan at a time in (lender, borrower)
-    order, so its bits do not depend on how the loans were inserted.
+    Each strength is summed one loan at a time in the network's canonical
+    (lender, borrower) order, so its bits do not depend on input order.
     """
     n = net.n_nodes
-    lender, borrower, amount = net.coo
     out_s = np.zeros(n)
     in_s = np.zeros(n)
-    np.add.at(out_s, lender, amount)
-    np.add.at(in_s, borrower, amount)
-    out_k = np.bincount(lender, minlength=n)
-    in_k = np.bincount(borrower, minlength=n)
+    np.add.at(out_s, net.lender, net.amount)
+    np.add.at(in_s, net.borrower, net.amount)
+    out_k = np.bincount(net.lender, minlength=n)
+    in_k = np.bincount(net.borrower, minlength=n)
     return NodeStrengths(out_s, in_s, out_k, in_k)
 
 
-def validate_network(net: FinancialNetwork) -> ValidationReport:
-    """Report-only check: self-loops and nonpositive weights are
-    violations, isolated nodes are warnings."""
-    lender, borrower, amount = net.coo
-    offending = np.flatnonzero((lender == borrower) | (amount <= 0))
-    violations = []
-    for i, j in zip(lender[offending].tolist(), borrower[offending].tolist()):
-        if i == j:
-            violations.append(f"self-loop on node {net.nodes[i]!r}")
-        value = net.loans[(i, j)]
-        if value <= 0:
-            violations.append(
-                f"nonpositive loan {net.nodes[i]!r}->{net.nodes[j]!r}: {value}"
-            )
+def validate_network(net: FinancialNetwork) -> tuple[str, ...]:
+    """Warnings about a valid network: one per isolated node, which has
+    no loan and so no balance sheet."""
     touched = np.zeros(net.n_nodes, dtype=bool)
-    touched[lender] = True
-    touched[borrower] = True
-    warnings = [f"isolated node {net.nodes[idx]!r}" for idx in np.flatnonzero(~touched).tolist()]
-    return ValidationReport(tuple(violations), tuple(warnings))
+    touched[net.lender] = True
+    touched[net.borrower] = True
+    return tuple(f"isolated node {net.nodes[idx]!r}" for idx in np.flatnonzero(~touched).tolist())
 
 
 def write_snapshot(net: FinancialNetwork, path) -> None:
     """Write an aggregated network snapshot (exact float round-trip)."""
     nodes = net.nodes
-    lender, borrower, amount = net.coo
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"# nodes={net.n_nodes} edges={net.n_edges}\n")
         handle.write("".join(f"# node {node}\n" for node in nodes))
         handle.write("".join(
             f"{nodes[i]},{nodes[j]},{a!r}\n"
-            for i, j, a in zip(lender.tolist(), borrower.tolist(), amount.tolist())
+            for i, j, a in zip(net.lender.tolist(), net.borrower.tolist(), net.amount.tolist())
         ))
 
 
@@ -405,15 +405,14 @@ def _snapshot_from_lines(lines: Iterable[str], source: str) -> FinancialNetwork:
     position = {node: k for k, node in enumerate(nodes)}
     remap = np.array([position[name] for name in index], dtype=np.int64)
     lender, borrower, amount = map(np.concatenate, zip(*columns))
-    loans = dict(zip(zip(remap[lender].tolist(), remap[borrower].tolist()), amount.tolist()))
     if header is not None:
-        expected = f"# nodes={len(nodes)} edges={len(loans)}"
+        expected = f"# nodes={len(nodes)} edges={amount.size}"
         if header[1] != expected:
             raise InputError(
                 f"{source}:{header[0]}: header {header[1]!r} disagrees with the body "
                 f"({expected[2:]})"
             )
-    return FinancialNetwork(tuple(nodes), loans)
+    return FinancialNetwork(tuple(nodes), remap[lender], remap[borrower], amount)
 
 
 def read_snapshot(path) -> FinancialNetwork:

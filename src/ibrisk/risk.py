@@ -81,8 +81,8 @@ def default_probabilities(delta: np.ndarray, p_exo: float) -> np.ndarray:
     Valid only in the single-seeded-default regime; errors out when any
     probability would exceed 1.
     """
-    if p_exo <= 0:
-        raise ParameterError(f"exogenous probability must be positive, got {p_exo}")
+    if not (np.isfinite(p_exo) and p_exo > 0):
+        raise ParameterError(f"exogenous probability must be finite and positive, got {p_exo}")
     delta = np.asarray(delta)
     p = (1.0 + delta) * p_exo
     bad = np.flatnonzero(p > 1.0)

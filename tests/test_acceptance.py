@@ -8,7 +8,6 @@ import pytest
 
 from ibrisk import (
     CalibrationParams,
-    FinancialNetwork,
     RoiRates,
     SeedSpec,
     SyntheticSpec,
@@ -28,6 +27,7 @@ from ibrisk import (
 )
 from ibrisk.experiments import DEFAULT_ALPHA_GRID, DEFAULT_ETA_GRID, evaluate_point
 
+from loan_dicts import network
 from oracle import naive_cascade, naive_payouts
 
 BETA = 10.0
@@ -98,7 +98,7 @@ def test_criterion_2_brute_force_equivalence():
             for j in range(n)
             if i != j and rng.random() < 0.5
         }
-        net = FinancialNetwork(tuple(str(k) for k in range(n)), loans)
+        net = network(tuple(str(k) for k in range(n)), loans)
         eta = float(rng.choice([0.0, 0.01, 0.05]))
         for alpha in (0.0, 0.5, 1.0):
             cal = calibrate(net, CalibrationParams(BETA, eta, alpha))

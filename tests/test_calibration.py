@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 from ibrisk import (
     CalibrationError,
     CalibrationParams,
-    FinancialNetwork,
     ParameterError,
     calibrate,
     node_strengths,
     propagation_weights,
 )
+
+from loan_dicts import network
 
 
 def test_params_validate_ranges():
@@ -45,7 +46,7 @@ def test_zero_eta_means_no_reserve_no_fund(t3):
 
 def test_calibration_infeasible_beta_names_node():
     # A pure lender with beta < 1/(1 - eta) ends up with D < 0.
-    net = FinancialNetwork(("L", "B"), {(0, 1): 10.0})
+    net = network(("L", "B"), {(0, 1): 10.0})
     with pytest.raises(CalibrationError, match="'L'"):
         calibrate(net, CalibrationParams(beta=1.0, eta=0.05, alpha=0.0))
 
@@ -83,7 +84,7 @@ def test_weights_scale_free_power_of_two(t3):
 
 @given(st.sampled_from([0.1, 0.5, 3.0, 10.0, 1000.0]))
 def test_weights_homogeneous_in_loan_scale(gamma):
-    net = FinancialNetwork(
+    net = network(
         ("a", "b", "c", "d"),
         {(0, 1): 3.0, (1, 2): 1.5, (2, 0): 7.25, (3, 1): 2.0, (1, 3): 0.75},
     )

@@ -209,6 +209,18 @@ ERROR_CASES = {
         ["risk", "--alpha", 0, "--p-exo", 0.4], None,
         EXIT_BAD_ARGS, "set --p-exo to at most 1/(1 + max delta) = 0.3333333333333333",
     ),
+    "p-exo-nan": (
+        ["risk", "--p-exo", "nan"], None,
+        EXIT_BAD_ARGS, "exogenous probability must be finite and positive, got nan",
+    ),
+    "p-exo-nan-sweep": (
+        ["sweep-eta", "--p-exo", "nan"], None,
+        EXIT_BAD_ARGS, "exogenous probability must be finite and positive, got nan",
+    ),
+    "synth-heterogeneity-nan": (
+        ["synth"], "synth:n_nodes=8,heterogeneity=nan",
+        EXIT_BAD_ARGS, "heterogeneity exponent must exceed 1, got nan",
+    ),
     "unknown-config-key": (
         ["risk", "--config", "{config}"], None,
         EXIT_BAD_ARGS, "{config}: unknown config key 'etta'",

@@ -10,11 +10,13 @@ from ibrisk import (
     SeedSpec,
     calibrate,
     compute_rescue_payouts,
+    conditional_default_matrix,
     run_cascade,
     run_ensemble,
 )
 from ibrisk import contagion
 
+from loan_dicts import loans_of, network
 from oracle import naive_cascade, naive_payouts
 
 PARAMS = CalibrationParams(beta=10.0, eta=0.05, alpha=0.0)
@@ -110,7 +112,7 @@ def _random_network(rng):
         for j in range(n):
             if i != j and rng.random() < 0.5:
                 loans[(i, j)] = float(rng.integers(1, 9))
-    return FinancialNetwork(nodes, loans)
+    return network(nodes, loans)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
@@ -118,13 +120,14 @@ def test_matches_naive_oracle(alpha):
     rng = np.random.default_rng(42)
     for _ in range(40):
         net = _random_network(rng)
+        loans = loans_of(net)
         eta = float(rng.choice([0.0, 0.02, 0.05]))
         cal = calibrate(net, CalibrationParams(beta=10.0, eta=eta, alpha=alpha))
         for seed in range(net.n_nodes):
             engine = run_cascade(cal, SeedSpec(seed))
-            payouts = naive_payouts(net.loans, cal.fund_contribution.tolist(), seed)
+            payouts = naive_payouts(loans, cal.fund_contribution.tolist(), seed)
             h, defaulted, steps = naive_cascade(
-                net.n_nodes, net.loans, cal.reserve.tolist(), seed, payouts=payouts
+                net.n_nodes, loans, cal.reserve.tolist(), seed, payouts=payouts
             )
             assert engine.final_distress.tolist() == h
             assert engine.defaulted == defaulted
@@ -132,12 +135,12 @@ def test_matches_naive_oracle(alpha):
 
 
 @st.composite
-def small_networks(draw, max_nodes=5):
+def small_networks(draw, max_nodes=5, amounts=st.floats(0.5, 10.0)):
     n = draw(st.integers(2, max_nodes))
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
-    loans = {pair: draw(st.floats(0.5, 10.0)) for pair in sorted(chosen)}
-    return FinancialNetwork(tuple(str(k) for k in range(n)), loans)
+    loans = {pair: draw(amounts) for pair in sorted(chosen)}
+    return network(tuple(str(k) for k in range(n)), loans)
 
 
 # A tiny eta can overflow loss / reserve to an infinite weight, which
@@ -152,14 +155,15 @@ def small_networks(draw, max_nodes=5):
 def test_fund_path_matches_oracle_property(net, eta, alpha):
     # alpha = 0 empties the fund: the cascade is the oracle's without
     # payouts, so no separate fund switch is needed.
+    loans = loans_of(net)
     cal = calibrate(net, CalibrationParams(beta=10.0, eta=eta, alpha=alpha))
     for seed in range(net.n_nodes):
         engine = run_cascade(cal, SeedSpec(seed))
         payouts = None
         if alpha > 0.0:
-            payouts = naive_payouts(net.loans, cal.fund_contribution.tolist(), seed)
+            payouts = naive_payouts(loans, cal.fund_contribution.tolist(), seed)
         h, defaulted, steps = naive_cascade(
-            net.n_nodes, net.loans, cal.reserve.tolist(), seed, payouts=payouts
+            net.n_nodes, loans, cal.reserve.tolist(), seed, payouts=payouts
         )
         assert engine.final_distress.tolist() == h
         assert engine.defaulted == defaulted
@@ -185,10 +189,11 @@ def test_ensemble_matches_oracle_property(net, eta, alpha, block, piece):
         patch.setattr(contagion, "SCATTER_PIECE", piece)
         ens = run_ensemble(cal)
     assert ens.final_distress.shape == ens.defaulted.shape == (net.n_nodes, net.n_nodes)
+    loans = loans_of(net)
     for seed in range(net.n_nodes):
-        payouts = naive_payouts(net.loans, cal.fund_contribution.tolist(), seed)
+        payouts = naive_payouts(loans, cal.fund_contribution.tolist(), seed)
         h, defaulted, steps = naive_cascade(
-            net.n_nodes, net.loans, cal.reserve.tolist(), seed, payouts=payouts
+            net.n_nodes, loans, cal.reserve.tolist(), seed, payouts=payouts
         )
         assert ens.final_distress[seed].tolist() == h
         assert set(np.flatnonzero(ens.defaulted[seed]).tolist()) == defaulted
@@ -199,7 +204,7 @@ def _bfs_depths(net, seed):
     """Hop distance from the seed to every node it reaches along
     propagation edges (borrower -> lender)."""
     lenders = {}
-    for lender, borrower in net.loans:
+    for lender, borrower in zip(net.lender.tolist(), net.borrower.tolist()):
         lenders.setdefault(borrower, []).append(lender)
     depth = {seed: 0}
     layer = [seed]
@@ -224,6 +229,34 @@ def test_eta_zero_defaults_reachable_set(net, alpha):
         depth = _bfs_depths(net, seed)
         assert set(np.flatnonzero(ens.defaulted[seed]).tolist()) == set(depth)
         assert ens.steps[seed] <= 1 + max(depth.values())
+
+
+# Integer amounts sum exactly in any order, so relabelling the nodes
+# can change no strength bit, and the integer delta must follow them.
+@settings(max_examples=100, deadline=None)
+@given(
+    net=small_networks(max_nodes=7, amounts=st.integers(1, 9).map(float)),
+    eta=st.sampled_from([0.0, 0.01, 0.02, 0.05]),
+    alpha=st.sampled_from([0.0, 0.5, 1.0]),
+    data=st.data(),
+)
+def test_relabelling_permutes_delta_and_strengths(net, eta, alpha, data):
+    perm = np.array(data.draw(st.permutations(range(net.n_nodes))))  # node k becomes perm[k]
+    nodes = tuple(net.nodes[k] for k in np.argsort(perm).tolist())
+    relabelled = FinancialNetwork(nodes, perm[net.lender], perm[net.borrower], net.amount)
+
+    def named(x):
+        return {(x.nodes[i], x.nodes[j]): a for (i, j), a in loans_of(x).items()}
+
+    assert named(relabelled) == named(net)
+    params = CalibrationParams(beta=10.0, eta=eta, alpha=alpha)
+    base, moved = calibrate(net, params), calibrate(relabelled, params)
+    for name in ("out_strength", "in_strength", "out_degree", "in_degree"):
+        moved_values, values = getattr(moved.strengths, name), getattr(base.strengths, name)
+        assert moved_values[perm].tolist() == values.tolist()
+    _, delta = conditional_default_matrix(run_ensemble(base))
+    _, moved_delta = conditional_default_matrix(run_ensemble(moved))
+    assert moved_delta[perm].tolist() == delta.tolist()
 
 
 def test_monotone_in_alpha(t3):
@@ -261,7 +294,7 @@ def test_steps_bounded_by_link_count(t3):
         cal = calibrate(net, CalibrationParams(10.0, 0.02, 0.0))
         for seed in range(net.n_nodes):
             outcome = run_cascade(cal, SeedSpec(seed))
-            assert outcome.steps <= max(1, len(net.loans))
+            assert outcome.steps <= max(1, net.n_edges)
 
 
 def test_distress_nondecreasing_and_capped(t3):

@@ -13,6 +13,8 @@ from ibrisk import (
 )
 from ibrisk.experiments import DEFAULT_ALPHA_GRID, DEFAULT_ETA_GRID
 
+from loan_dicts import loans_of
+
 
 def test_sweep_alpha_t3(t3):
     spec = SweepSpec(varying="alpha", grid=(0.0, 1.0), fixed=0.05, beta=10.0)
@@ -111,12 +113,13 @@ def test_synthetic_different_seed_differs():
 def test_synthetic_core_density():
     net = generate_synthetic(SyntheticSpec(n_nodes=120, core_fraction=0.2, rng_seed=0))
     n_core = 24
+    loans = loans_of(net)
     connected = 0
     pairs = 0
     for i in range(n_core):
         for j in range(i + 1, n_core):
             pairs += 1
-            if (i, j) in net.loans or (j, i) in net.loans:
+            if (i, j) in loans or (j, i) in loans:
                 connected += 1
     assert connected / pairs >= 0.95
 
@@ -130,7 +133,7 @@ def test_synthetic_heterogeneity():
 
 def test_synthetic_no_self_loops_positive_weights():
     net = generate_synthetic(SyntheticSpec(n_nodes=50, rng_seed=9))
-    for (i, j), amount in net.loans.items():
+    for (i, j), amount in loans_of(net).items():
         assert i != j
         assert amount > 0
 

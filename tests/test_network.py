@@ -18,6 +18,8 @@ from ibrisk import (
 )
 from ibrisk import network
 
+from loan_dicts import loans_of, network as network_of
+
 D = dt.date(2000, 4, 3)
 
 T3_LINES = [
@@ -64,13 +66,13 @@ def test_ingest_skips_blank_lines_with_warning(caplog):
 def test_aggregate_sums_duplicate_pairs():
     trades = ingest_transactions(["B1,B2,3.0,2000-04-03", "B1,B2,5.0,2000-04-03"])
     net = aggregate_window(trades)
-    assert net.loans == {(0, 1): 8.0}
+    assert loans_of(net) == {(0, 1): 8.0}
 
 
 def test_aggregate_window_filters_dates():
     trades = ingest_transactions(["B1,B2,3.0,2000-04-01", "B1,B2,5.0,2000-05-01"])
     net = aggregate_window(trades, end=dt.date(2000, 4, 30))
-    assert net.loans == {(0, 1): 3.0}
+    assert loans_of(net) == {(0, 1): 3.0}
 
 
 def test_aggregate_empty_window_errors():
@@ -85,7 +87,7 @@ def test_aggregate_t3_fixture_file(t3):
     assert net.nodes == ("2", "1", "3")  # first-appearance order
     # Same loans up to the node relabeling: 2 lent 8 to 1, 3 lent 6 to 2.
     amounts = {
-        (net.nodes[i], net.nodes[j]): a for (i, j), a in net.loans.items()
+        (net.nodes[i], net.nodes[j]): a for (i, j), a in loans_of(net).items()
     }
     assert amounts == {("2", "1"): 8.0, ("3", "2"): 6.0}
 
@@ -99,7 +101,7 @@ def test_strengths_t3(t3):
 
 
 def test_strengths_single_edge():
-    net = FinancialNetwork(("1", "2"), {(0, 1): 5.0})
+    net = network_of(("1", "2"), {(0, 1): 5.0})
     s = node_strengths(net)
     assert s.out_strength.tolist() == [5.0, 0.0]
     assert s.in_strength.tolist() == [0.0, 5.0]
@@ -113,16 +115,48 @@ def test_strengths_empty_network():
 
 
 def test_validate_t3_clean(t3):
-    report = validate_network(t3)
-    assert report.ok
-    assert not report.warnings
+    assert validate_network(t3) == ()
 
 
-def test_validate_flags_self_loop_and_isolated():
-    net = FinancialNetwork(("a", "b", "c"), {(0, 0): 1.0})
-    report = validate_network(net)
-    assert any("self-loop" in v for v in report.violations)
-    assert any("isolated" in w for w in report.warnings)
+def test_validate_warns_on_isolated_node():
+    net = network_of(("a", "b", "c"), {(0, 1): 1.0})
+    assert validate_network(net) == ("isolated node 'c'",)
+
+
+@pytest.mark.parametrize(
+    "lender, borrower, amount, message",
+    [
+        pytest.param([0, 1], [1, 2], [1.0], "one length", id="length-mismatch"),
+        pytest.param([[0]], [[1]], [[1.0]], "1-D", id="not-1d"),
+        pytest.param([0], [3], [1.0], r"0->3 has a node index outside \[0, 3\)", id="big-index"),
+        pytest.param([-1], [0], [1.0], "outside", id="negative-index"),
+        pytest.param([0.0], [1.0], [1.0], "integers", id="float-index"),
+        pytest.param([1, 0], [2, 0], [1.0, 1.0], "self-loop on node 'a'", id="self-loop"),
+        pytest.param([0], [1], [0.0], "'a'->'b': amount must be finite and strictly positive, got 0.0",
+                     id="zero"),
+        pytest.param([0], [1], [-3.0], "strictly positive, got -3.0", id="negative"),
+        pytest.param([0], [1], [math.nan], "strictly positive, got nan", id="nan"),
+        pytest.param([0], [1], [math.inf], "strictly positive, got inf", id="inf"),
+        pytest.param([2, 0, 0], [1, 1, 1], [1.0, 2.0, 3.0], "duplicate loan 'a'->'b'", id="duplicate"),
+    ],
+)
+def test_constructor_rejects_invalid_loans(lender, borrower, amount, message):
+    with pytest.raises(InputError, match=message):
+        FinancialNetwork(("a", "b", "c"), lender, borrower, amount)
+
+
+def test_constructor_sorts_and_freezes_loans():
+    lender, borrower, amount = np.array([2, 0, 0]), np.array([0, 2, 1]), np.array([1.0, 2.0, 3.0])
+    net = FinancialNetwork(("a", "b", "c"), lender, borrower, amount)
+    assert net.lender.tolist() == [0, 0, 2]
+    assert net.borrower.tolist() == [1, 2, 0]
+    assert net.amount.tolist() == [3.0, 2.0, 1.0]
+    assert net.lender.dtype == net.borrower.dtype == np.int64
+    assert not any(a.flags.writeable for a in (net.lender, net.borrower, net.amount))
+    assert lender.flags.writeable and lender.tolist() == [2, 0, 0]  # the inputs are untouched
+    assert net == network_of(("a", "b", "c"), {(0, 2): 2.0, (2, 0): 1.0, (0, 1): 3.0})
+    assert net != FinancialNetwork(("a", "b", "c"), lender, borrower, amount * 2)
+    assert net != FinancialNetwork(("a", "c", "b"), lender, borrower, amount)
 
 
 @given(
@@ -138,7 +172,7 @@ def test_validate_flags_self_loop_and_isolated():
 def test_aggregation_volume_is_permutation_invariant(lines):
     net = aggregate_window(ingest_transactions(lines))
     amounts = {
-        (net.nodes[i], net.nodes[j]): a for (i, j), a in net.loans.items()
+        (net.nodes[i], net.nodes[j]): a for (i, j), a in loans_of(net).items()
     }
     assert amounts == {("B1", "B2"): 8.0, ("B2", "B3"): 4.0, ("B3", "B1"): 2.0}
 
@@ -160,7 +194,7 @@ def test_snapshot_round_trip(tmp_path, t3):
 
 
 def test_snapshot_round_trip_preserves_isolated_nodes(tmp_path):
-    net = FinancialNetwork(("a", "b", "c"), {(0, 1): 1.25})
+    net = network_of(("a", "b", "c"), {(0, 1): 1.25})
     path = tmp_path / "net.csv"
     write_snapshot(net, path)
     assert read_snapshot(path) == net
@@ -275,15 +309,12 @@ def test_ingest_aggregate_matches_per_record_loop(lines, start, end, chunk, capl
         except InputError as exc:
             got = str(exc)
         else:
-            got = (net.nodes, net.loans)
+            got = net
     assert caplog.messages == expected_warnings
     if isinstance(expected, str):
         assert got == expected
     else:
-        nodes, loans = expected
-        assert got[0] == nodes
-        assert list(got[1]) == list(loans)  # same pairs, inserted in the same order
-        assert [v.hex() for v in got[1].values()] == [v.hex() for v in loans.values()]
+        assert got == network_of(*expected)  # same nodes, pairs and amount bits
 
 
 SNAPSHOT_LINES = [

@@ -3,7 +3,6 @@ import pytest
 
 from ibrisk import (
     CalibrationParams,
-    FinancialNetwork,
     ParameterError,
     RoiRates,
     calibrate,
@@ -15,6 +14,8 @@ from ibrisk import (
     risk_adjusted_roi,
     run_ensemble,
 )
+
+from loan_dicts import network
 
 RATES = RoiRates()  # typical simulation rates
 
@@ -38,14 +39,14 @@ def test_nominal_roi_t3_node2_full_fund(t3):
 
 def test_nominal_roi_pure_external_node():
     # No lending and eta = 0: the whole balance earns the external rate.
-    net = FinancialNetwork(("L", "B"), {(0, 1): 5.0})
+    net = network(("L", "B"), {(0, 1): 5.0})
     cal = calibrate(net, CalibrationParams(beta=10.0, eta=0.0, alpha=0.0))
     roi_n = nominal_roi(cal, RATES)
     assert roi_n[1] == pytest.approx(RATES.roi_ext, rel=1e-15)
 
 
 def test_nominal_roi_rejects_zero_balance():
-    net = FinancialNetwork(("a", "b", "c"), {(0, 1): 5.0})
+    net = network(("a", "b", "c"), {(0, 1): 5.0})
     cal = calibrate(net, CalibrationParams(beta=10.0, eta=0.0, alpha=0.0))
     with pytest.raises(ParameterError, match="'c'"):
         nominal_roi(cal, RATES)
