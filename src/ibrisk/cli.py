@@ -13,6 +13,7 @@ unexpected exception). Every failure prints one line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as dt
 import logging
 import sys
@@ -25,6 +26,7 @@ from .calibration import CalibrationParams, calibrate
 from .contagion import SeedSpec, run_cascade
 from .errors import CalibrationError, IbRiskError, InputError, ParameterError
 from .network import FinancialNetwork
+from .risk import check_p_exo
 
 logger = logging.getLogger(__name__)
 
@@ -67,17 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value configuration file")
     parser.add_argument("--window-start", help="aggregation window start (YYYY-MM-DD)")
     parser.add_argument("--window-end", help="aggregation window end (YYYY-MM-DD)")
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--eta", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--p-exo", type=float, dest="p_exo")
-    parser.add_argument("--roi-int", type=float, dest="roi_int")
-    parser.add_argument("--roi-ext", type=float, dest="roi_ext")
-    parser.add_argument("--roi-e", type=float, dest="roi_e")
-    parser.add_argument("--roi-f", type=float, dest="roi_f")
+    for key, default in _DEFAULTS.items():  # scalars of the type of their default
+        parser.add_argument("--" + key.replace("_", "-"), type=type(default), dest=key)
     parser.add_argument("--seed-node", dest="seed_node", help="seed node id for cascade")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--rng-seed", type=int, dest="rng_seed")
     parser.add_argument("--trace", action="store_true", default=None,
                         help="emit per-step distress trace CSV")
     parser.add_argument("--eta-increases", dest="eta_increases",
@@ -102,10 +96,6 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_FLOAT_KEYS = ("beta", "eta", "alpha", "p_exo", "roi_int", "roi_ext", "roi_e", "roi_f")
-_INT_KEYS = ("rng_seed",)
-
-
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge defaults, config-file values, and flags (flags win)."""
     config = dict(_DEFAULTS)
@@ -118,16 +108,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
             norm = key.replace("-", "_")
             if norm not in config:
                 raise ParameterError(f"{args.config}: unknown config key {key!r}")
-            if norm in _FLOAT_KEYS:
+            cast = type(_DEFAULTS.get(norm))
+            if cast in (float, int):
                 try:
-                    config[norm] = float(text)
+                    config[norm] = cast(text)
                 except ValueError:
-                    raise ParameterError(f"config key {key}: bad float {text!r}") from None
-            elif norm in _INT_KEYS:
-                try:
-                    config[norm] = int(text)
-                except ValueError:
-                    raise ParameterError(f"config key {key}: bad int {text!r}") from None
+                    raise ParameterError(f"config key {key}: bad {cast.__name__} {text!r}") from None
             elif norm == "trace":
                 config[norm] = text.lower() in ("1", "true", "yes")
             else:
@@ -153,7 +139,7 @@ def _parse_number(cast, text: str, what: str):
         raise ParameterError(f"bad {what} {text!r}") from None
 
 
-def _parse_synth_spec(text: str, rng_seed: int) -> experiments.SyntheticSpec:
+def _synthetic(text: str, rng_seed: int) -> FinancialNetwork:
     fields = {}
     body = text[len("synth:"):]
     if body:
@@ -163,18 +149,12 @@ def _parse_synth_spec(text: str, rng_seed: int) -> experiments.SyntheticSpec:
             key, _, value = chunk.partition("=")
             fields[key.strip()] = value.strip()
     kwargs = {"rng_seed": rng_seed}
-    casts = {
-        "n_nodes": int,
-        "density": float,
-        "heterogeneity": float,
-        "core_fraction": float,
-        "rng_seed": int,
-    }
+    casts = {f.name: type(f.default) for f in dataclasses.fields(experiments.SyntheticSpec)}
     for key, value in fields.items():
         if key not in casts:
             raise ParameterError(f"unknown synth spec key {key!r}")
         kwargs[key] = _parse_number(casts[key], value, f"synth spec {key}")
-    return experiments.SyntheticSpec(**kwargs)
+    return experiments.generate_synthetic(experiments.SyntheticSpec(**kwargs))
 
 
 def load_network(config: dict) -> FinancialNetwork:
@@ -182,9 +162,7 @@ def load_network(config: dict) -> FinancialNetwork:
     if not source:
         raise ParameterError("--input is required for this command")
     if source.startswith("synth:"):
-        return experiments.generate_synthetic(
-            _parse_synth_spec(source, int(config["rng_seed"]))
-        )
+        return _synthetic(source, int(config["rng_seed"]))
     path = Path(source)
     if not path.exists():
         raise InputError(f"input file not found: {path}")
@@ -198,14 +176,15 @@ def load_network(config: dict) -> FinancialNetwork:
 
 def _write_run_cfg(config: dict, out_dir: Path) -> None:
     with open(out_dir / "run.cfg", "w", encoding="utf-8") as handle:
-        for key in sorted(config):
-            value = config[key]
-            if value is None:
-                continue
-            handle.write(f"{key}={_fmt(value)}\n")
+        handle.writelines(f"{key}={_fmt(config[key])}\n" for key in sorted(config)
+                          if config[key] is not None)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _field_names(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def _write_csv(path: Path, header: list[str], rows: list) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
@@ -213,18 +192,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _rates(config: dict) -> roi.RoiRates:
-    return roi.RoiRates(
-        roi_int=config["roi_int"],
-        roi_ext=config["roi_ext"],
-        roi_e=config["roi_e"],
-        roi_f=config["roi_f"],
-    )
+    return roi.RoiRates(*(config[name] for name in _field_names(roi.RoiRates)))
 
 
 def _params(config: dict) -> CalibrationParams:
-    return CalibrationParams(
-        beta=config["beta"], eta=config["eta"], alpha=config["alpha"]
-    )
+    return CalibrationParams(beta=config["beta"], eta=config["eta"], alpha=config["alpha"])
 
 
 def cmd_ingest(config: dict, out_dir: Path) -> str:
@@ -260,6 +232,7 @@ def _evaluate(config: dict, net: FinancialNetwork) -> experiments.PointResult:
 
 
 def cmd_risk(config: dict, out_dir: Path) -> str:
+    check_p_exo(config["p_exo"])  # before the input is loaded
     net = load_network(config)
     point = _evaluate(config, net)
     delta, p = point.delta, point.default_prob
@@ -282,6 +255,7 @@ def cmd_risk(config: dict, out_dir: Path) -> str:
 
 
 def cmd_roi(config: dict, out_dir: Path) -> str:
+    check_p_exo(config["p_exo"])
     net = load_network(config)
     # ROI is undefined at a zero balance: fail before the seed ensemble runs.
     roi.require_positive_balance(net.nodes, calibrate(net, _params(config)).balance)
@@ -303,6 +277,7 @@ def cmd_roi(config: dict, out_dir: Path) -> str:
 
 
 def _cmd_sweep(config: dict, out_dir: Path, varying: str) -> str:
+    check_p_exo(config["p_exo"])
     net = load_network(config)
     grid = experiments.DEFAULT_ETA_GRID if varying == "eta" else experiments.DEFAULT_ALPHA_GRID
     fixed = config["alpha"] if varying == "eta" else config["eta"]
@@ -314,29 +289,8 @@ def _cmd_sweep(config: dict, out_dir: Path, varying: str) -> str:
         rates=_rates(config),
         p_exo=config["p_exo"],
     )
-    rows = [
-        [
-            row.param_name,
-            row.param_value,
-            row.cascade_risk,
-            row.avg_debtrank,
-            row.market_roi_ra_weighted,
-            row.market_roi_ra_unweighted,
-        ]
-        for row in experiments.sweep(net, spec)
-    ]
-    _write_csv(
-        out_dir / "sweep.csv",
-        [
-            "param_name",
-            "param_value",
-            "cascade_risk",
-            "avg_debtrank",
-            "market_roi_ra_weighted",
-            "market_roi_ra_unweighted",
-        ],
-        rows,
-    )
+    rows = [dataclasses.astuple(row) for row in experiments.sweep(net, spec)]
+    _write_csv(out_dir / "sweep.csv", _field_names(experiments.SweepRow), rows)
     return f"sweep={varying} points={len(rows)}"
 
 
@@ -352,15 +306,8 @@ def cmd_iso(config: dict, out_dir: Path) -> str:
     points = experiments.iso_curve(
         net, eta0=config["eta"], eta_increase_grid=grid, beta=config["beta"]
     )
-    rows = [
-        [p.eta_rel_increase, p.alpha_lo, p.alpha_hi, p.target_pc, p.achieved_pc]
-        for p in points
-    ]
-    _write_csv(
-        out_dir / "iso.csv",
-        ["eta_rel_increase", "alpha_lo", "alpha_hi", "target_pc", "achieved_pc"],
-        rows,
-    )
+    rows = [dataclasses.astuple(p)[:-1] for p in points]  # all fields but saturated
+    _write_csv(out_dir / "iso.csv", _field_names(experiments.IsoPoint)[:-1], rows)
     saturated = sum(1 for p in points if p.saturated)
     return f"iso points={len(points)} saturated={saturated}"
 
@@ -369,9 +316,7 @@ def cmd_synth(config: dict, out_dir: Path) -> str:
     source = config.get("input") or "synth:"
     if not source.startswith("synth:"):
         raise ParameterError("synth expects --input synth:k=v,... (or no input)")
-    net = experiments.generate_synthetic(
-        _parse_synth_spec(source, int(config["rng_seed"]))
-    )
+    net = _synthetic(source, int(config["rng_seed"]))
     network.write_snapshot(net, out_dir / "network.csv")
     return f"nodes={net.n_nodes} edges={net.n_edges} rng_seed={config['rng_seed']}"
 

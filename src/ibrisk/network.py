@@ -7,6 +7,7 @@ Loan amounts A[i, j] mean "node i lent this much to node j".
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import itertools
 import logging
 from dataclasses import dataclass
@@ -148,102 +149,157 @@ def _first(mask: np.ndarray) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
-def _first_failure(parse, texts: list[str]) -> Optional[int]:
-    """Offset of the first text that ``parse`` rejects with ValueError."""
-    for k, text in enumerate(texts):
-        try:
-            parse(text)
-        except ValueError:
-            return k
-    return None
-
-
 def _chunks(lines: Iterable[str]):
-    """Yield (line number of the first line, list of at most
-    ``PARSE_CHUNK`` stripped lines) over a line stream."""
-    lines = iter(lines)
-    lineno = 1
-    while chunk := list(map(str.strip, itertools.islice(lines, PARSE_CHUNK))):
+    """Yield (number of the first line, list of at most ``PARSE_CHUNK`` lines)."""
+    lines, lineno = iter(lines), 1
+    while chunk := list(itertools.islice(lines, PARSE_CHUNK)):
         yield lineno, chunk
         lineno += len(chunk)
 
 
-class _Chunk:
-    """One chunk of stripped lines of a comma-separated stream, parsed into columns.
+# A plain row has none of these bytes next to a comma or a line edge: the
+# ASCII whitespace that str.strip removes, and any byte of a non-ASCII
+# character, as some of those are whitespace too (U+00A0, U+3000).
+_PADDING = np.zeros(256, dtype=bool)
+_PADDING[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_PADDING[0x80:] = True
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
-    Blank and ``#`` lines are set aside by offset in ``other``; every
-    other line is a row, at offset ``at[r]``, split into ``n_fields``
-    stripped ``columns``. Columns 0 and 1 are node ids, interned through
-    ``index`` (shared by all chunks of a stream) into ``lender`` and
-    ``borrower`` codes; column 2 is a finite, strictly positive
-    ``amount``. Rows from the first one with a wrong field count on are
-    dropped.
 
-    Each check finds its first failing row, and :meth:`fail` keeps it
-    only when it lies before the error kept so far. So the error raised
-    is the one on the earliest line and, on one line, the one checked
-    first, as if the lines were checked one at a time.
+def _codes(table: dict, keys: list, new=None) -> np.ndarray:
+    """The values of ``keys`` in ``table``, adding a missing key as ``new(key)``."""
+    try:
+        return np.fromiter(map(table.__getitem__, keys), dtype=np.int64, count=len(keys))
+    except KeyError:
+        if new is None:
+            raise
+        table.update({key: new(key) for key in dict.fromkeys(keys) if key not in table})
+        return _codes(table, keys)
+
+
+def _plain_chunk(chunk: list[str], index: dict[str, int], ordinal: Optional[dict] = None):
+    """Parse a chunk at once, or return None to leave it to :func:`_by_line`.
+
+    Rows are trades given the ``ordinal`` cache of date texts, else loans.
+    Each line must be UTF-8 and a whole-line ``#`` comment or a plain row:
+    fields joined by commas and ended by its only newline, with no ``#``
+    and no ``_PADDING`` byte next to a comma or a line edge, so that
+    ``str.strip`` changes no field. Returns the ``#`` lines as (offset,
+    stripped line) and the columns, once the fields pass every check of
+    :func:`_by_line`; only then do new ids join ``index``.
     """
-
-    def __init__(self, source, lineno, lines, n_fields, index, fields_error, amount_error):
-        self.source = source
-        self.lineno = lineno
-        self.lines = lines
-        self.error_at = len(lines)
-        self.error = None
-        try:
-            "".join(lines).encode("utf-8")
-        except UnicodeEncodeError:  # lone surrogates: undecodable bytes of the file
-            bad = _first_failure(lambda line: line.encode("utf-8"), lines)
-            self.fail(bad, "not valid UTF-8 text")
-        self.at = at = [k for k, line in enumerate(lines) if line and line[0] != "#"]
-        self.other = []
-        if len(at) < len(lines):
-            self.other = [k for k, line in enumerate(lines) if not line or line[0] == "#"]
-        rows = list(map(lines.__getitem__, at))
-        commas = np.array([row.count(",") for row in rows], dtype=np.int64)
-        r = _first(commas != n_fields - 1)
-        if r is not None:
-            self.fail(at[r], fields_error.format(commas[r] + 1))
-            del at[r:], rows[r:]
-        parts = ",".join(rows).split(",") if rows else []
-        self.columns = columns = [list(map(str.strip, parts[f::n_fields])) for f in range(n_fields)]
-
-        ids = [""] * (2 * len(rows))
-        ids[0::2], ids[1::2] = columns[0], columns[1]
-        for name in dict.fromkeys(ids):
+    n_fields = 3 if ordinal is None else 4
+    text = "#".join(chunk)  # the '#' after each row's newline shows where the row ends
+    comments = []
+    try:
+        if text.count("#") >= len(chunk):  # '#' lines, or a '#' inside a row
+            text.encode("utf-8")
+            comments = [(k, line.strip()) for k, line in enumerate(chunk) if line[:1] == "#"]
+            chunk = [line for line in chunk if line[:1] != "#"]
+            text = "#".join(chunk)
+        data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    except UnicodeEncodeError:  # lone surrogates: undecodable bytes of the file
+        return None
+    n = len(chunk)
+    if n:
+        sep = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+        if sep.size != n * n_fields or data[-1] != ord("\n"):
+            return None
+        sep = sep.reshape(n, n_fields)
+        ends = sep[:-1, -1]  # the newlines that a join '#' follows
+        edges = np.concatenate(([0], ends + 2, sep.ravel() - 1, sep[:, :-1].ravel() + 1))
+        if not (
+            (data[sep] == np.frombuffer(b",,,\n"[-n_fields:], dtype=np.uint8)).all()
+            and (data[ends + 1] == ord("#")).all()
+            and np.count_nonzero(data == ord("#")) == n - 1
+        ) or _PADDING[data[edges]].any():
+            return None
+    fields = text[:-1].replace("\n#", ",").split(",") if n else []
+    ids = [""] * (2 * n)
+    ids[0::2], ids[1::2] = fields[0::n_fields], fields[1::n_fields]
+    local = {}
+    try:
+        codes = _codes(index, ids)
+    except KeyError:  # new ids: chunk-local codes until the chunk is accepted
+        local = dict(zip(dict.fromkeys(ids), itertools.count()))
+        codes = _codes(local, ids)
+    day = None
+    try:
+        amount = np.fromiter(map(float, fields[2::n_fields]), dtype=np.float64, count=n)
+        if ordinal is not None:
+            day = _codes(ordinal, fields[3::4], lambda iso: dt.date.fromisoformat(iso).toordinal())
+    except ValueError:
+        return None
+    if "" in local or (codes[0::2] == codes[1::2]).any() or not (
+        (amount > 0) & (amount < np.inf)
+    ).all():
+        return None
+    if local:
+        for name in local:
             index.setdefault(name, len(index))
-        codes = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
-        self.lender, self.borrower = codes[0::2], codes[1::2]
-        if "" in index:
-            empty = index[""]
-            r = _first((self.lender == empty) | (self.borrower == empty))
-            if r is not None:
-                self.fail(at[r], "empty node id")
+        codes = _codes(index, local)[codes]
+    return comments, codes[0::2], codes[1::2], amount, day
 
-        texts = columns[2]
+
+def _by_line(lines: Iterable[str], lineno: int, source: str, index: dict[str, int], note,
+             ordinal: Optional[dict] = None, seen: Optional[set] = None):
+    """Parse lines one at a time by the rules that alone define parse
+    errors; raise InputError naming the first line that breaks one.
+
+    Rows are trades (four fields, the last a date) given ``ordinal``, else
+    loans (three fields) whose pair may not be in ``seen``. Calls
+    ``note(line number, stripped line)`` for each blank or ``#`` line.
+    Returns what :func:`_plain_chunk` returns, with None for the ``#``
+    lines, and day ordinals of None for loans.
+    """
+    n_fields, fields_error, amount_error = (
+        (3, "expected 3 fields", "unparseable amount") if ordinal is None
+        else (4, "expected 4 fields, got {}", "unparseable amount {!r}")
+    )
+    rows = []
+
+    def fault(message: str) -> InputError:
+        return InputError(f"{source}:{lineno}: {message}")
+
+    for lineno, line in enumerate(lines, lineno):
+        line = line.strip()
         try:
-            amount = np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
+            line.encode("utf-8")
+        except UnicodeEncodeError:  # lone surrogates: undecodable bytes of the file
+            raise fault("not valid UTF-8 text") from None
+        if not line or line[0] == "#":
+            note(lineno, line)
+            continue
+        fields = list(map(str.strip, line.split(",")))
+        if len(fields) != n_fields:
+            raise fault(fields_error.format(len(fields)))
+        lender, borrower, text = fields[:3]
+        if not (lender and borrower):
+            raise fault("empty node id")
+        try:
+            amount = float(text)
         except ValueError:
-            r = _first_failure(float, texts)
-            self.fail(at[r], amount_error.format(texts[r]))
-            amount = np.fromiter(map(float, texts[:r]), dtype=np.float64, count=r)
-        r = _first(~(np.isfinite(amount) & (amount > 0)))
-        if r is not None:
-            self.fail(at[r], f"amount must be strictly positive, got {texts[r]}")
-        self.amount = amount
-        r = _first(self.lender == self.borrower)
-        if r is not None:
-            self.fail(at[r], f"self-loop on node {columns[0][r]!r} rejected")
-
-    def fail(self, offset: int, message: str) -> None:
-        """Record a failed check on the line at ``offset`` in the chunk."""
-        if offset < self.error_at:
-            self.error_at, self.error = offset, message
-
-    def raise_error(self) -> None:
-        if self.error is not None:
-            raise InputError(f"{self.source}:{self.lineno + self.error_at}: {self.error}")
+            raise fault(amount_error.format(text)) from None
+        if not 0 < amount < np.inf:
+            raise fault(f"amount must be strictly positive, got {text}")
+        if lender == borrower:
+            raise fault(f"self-loop on node {lender!r} rejected")
+        if ordinal is not None:
+            try:
+                day = dt.date.fromisoformat(fields[3]).toordinal()
+            except ValueError:
+                raise fault(f"unparseable date {fields[3]!r}") from None
+        elif (lender, borrower) in seen:
+            raise fault(f"duplicate loan {lender!r}->{borrower!r}")
+        else:
+            seen.add((lender, borrower))
+            day = 0
+        code = index.setdefault(lender, len(index))
+        rows.append((code, index.setdefault(borrower, len(index)), amount, day))
+    # Codes and day ordinals are far below 2**53, so float64 holds them exactly.
+    lender, borrower, amount, day = np.array(rows, dtype=np.float64).reshape(-1, 4).T
+    day = None if ordinal is None else day.astype(np.int64)
+    return None, lender.astype(np.int64), borrower.astype(np.int64), amount, day
 
 
 def ingest_transactions(lines: Iterable[str], source_name: str = "<stream>") -> Trades:
@@ -252,30 +308,20 @@ def ingest_transactions(lines: Iterable[str], source_name: str = "<stream>") -> 
     Format per line: ``lender_id,borrower_id,amount,YYYY-MM-DD``.
     Comment lines (leading ``#``) are ignored; blank lines are skipped
     with a warning. Any malformed line aborts with an error naming the
-    line number. Lines are parsed ``PARSE_CHUNK`` at a time, as columns.
+    line number. Lines are parsed ``PARSE_CHUNK`` at a time, as columns
+    by :func:`_plain_chunk` or else one at a time by :func:`_by_line`.
     """
     index: dict[str, int] = {}
-    no_rows = np.empty(0, dtype=np.int64)
-    columns = [(no_rows, no_rows, np.empty(0), no_rows)]
-    for lineno, chunk_lines in _chunks(lines):
-        chunk = _Chunk(
-            source_name, lineno, chunk_lines, 4, index,
-            "expected 4 fields, got {}", "unparseable amount {!r}",
-        )
-        dates = chunk.columns[3]
-        ordinal = {}
-        try:
-            for text in dict.fromkeys(dates):
-                ordinal[text] = dt.date.fromisoformat(text).toordinal()
-        except ValueError:
-            r = _first_failure(dt.date.fromisoformat, dates)
-            chunk.fail(chunk.at[r], f"unparseable date {dates[r]!r}")
-        for k in chunk.other:
-            if k < chunk.error_at and not chunk.lines[k]:
-                logger.warning("%s:%d: blank line skipped", source_name, lineno + k)
-        chunk.raise_error()
-        day = np.fromiter(map(ordinal.__getitem__, dates), dtype=np.int64, count=len(dates))
-        columns.append((chunk.lender, chunk.borrower, chunk.amount, day))
+    ordinal: dict[str, int] = {}
+
+    def note(lineno: int, line: str) -> None:
+        if not line:
+            logger.warning("%s:%d: blank line skipped", source_name, lineno)
+
+    columns = [(_NO_ROWS, _NO_ROWS, np.empty(0), _NO_ROWS)]
+    for lineno, chunk in _chunks(lines):
+        parsed = _plain_chunk(chunk, index, ordinal)
+        columns.append((parsed or _by_line(chunk, lineno, source_name, index, note, ordinal))[1:])
     arrays = [np.concatenate(column) for column in zip(*columns)]
     for array in arrays:
         array.flags.writeable = False
@@ -372,47 +418,46 @@ def write_snapshot(net: FinancialNetwork, path) -> None:
         ))
 
 
-def _snapshot_from_lines(lines: Iterable[str], source: str) -> FinancialNetwork:
-    """Parse and check snapshot lines; see :func:`read_snapshot`."""
+def _snapshot_from_lines(lines: Iterable[str], source: str, plain=False) -> FinancialNetwork:
+    """Parse and check snapshot lines; see :func:`read_snapshot`. With
+    ``plain`` set, chunks go to :func:`_plain_chunk` and one it leaves
+    raises InputError; the constructor then finds a repeated pair."""
     declared: dict[str, None] = {}
     index: dict[str, int] = {}  # loan node ids in first-appearance order
-    header = None
-    seen: set[int] = set()  # lender << 32 | borrower of the loans so far
-    no_rows = np.empty(0, dtype=np.int64)
-    columns = [(no_rows, no_rows, np.empty(0))]
-    for lineno, chunk_lines in _chunks(lines):
-        chunk = _Chunk(
-            source, lineno, chunk_lines, 3, index, "expected 3 fields", "unparseable amount"
+    headers = []
+
+    def note(lineno: int, line: str) -> None:
+        if line.startswith("# node "):
+            node = line[len("# node ") :]
+            if node in declared:
+                raise InputError(f"{source}:{lineno}: duplicate node {node!r}")
+            declared[node] = None
+        elif line.startswith("# nodes="):
+            headers.append((lineno, line))
+
+    seen: set[tuple[str, str]] = set()
+    columns = [(_NO_ROWS, _NO_ROWS, np.empty(0))]
+    for lineno, chunk in _chunks(lines):
+        parsed = _plain_chunk(chunk, index) if plain else _by_line(
+            chunk, lineno, source, index, note, seen=seen
         )
-        for k in chunk.other:
-            line = chunk.lines[k]
-            if line.startswith("# node "):
-                node = line[len("# node ") :]
-                if node in declared:
-                    chunk.fail(k, f"duplicate node {node!r}")
-                declared[node] = None
-            elif line.startswith("# nodes="):
-                header = (lineno + k, line)
-        for r, key in enumerate(((chunk.lender << 32) | chunk.borrower).tolist()):
-            if key in seen:
-                lender, borrower = chunk.columns[0][r], chunk.columns[1][r]
-                chunk.fail(chunk.at[r], f"duplicate loan {lender!r}->{borrower!r}")
-                break
-            seen.add(key)
-        chunk.raise_error()
-        columns.append((chunk.lender, chunk.borrower, chunk.amount))
+        if parsed is None:
+            raise InputError(f"{source}:{lineno}: chunk is not plain")
+        for k, line in parsed[0] or ():
+            note(lineno + k, line)
+        columns.append(parsed[1:4])
     nodes = [*declared, *(name for name in index if name not in declared)]
     position = {node: k for k, node in enumerate(nodes)}
     remap = np.array([position[name] for name in index], dtype=np.int64)
     lender, borrower, amount = map(np.concatenate, zip(*columns))
-    if header is not None:
-        expected = f"# nodes={len(nodes)} edges={amount.size}"
-        if header[1] != expected:
-            raise InputError(
-                f"{source}:{header[0]}: header {header[1]!r} disagrees with the body "
-                f"({expected[2:]})"
-            )
-    return FinancialNetwork(tuple(nodes), remap[lender], remap[borrower], amount)
+    net = FinancialNetwork(tuple(nodes), remap[lender], remap[borrower], amount)
+    expected = f"# nodes={len(nodes)} edges={amount.size}"
+    if headers and headers[-1][1] != expected:
+        raise InputError(
+            f"{source}:{headers[-1][0]}: header {headers[-1][1]!r} disagrees with the body "
+            f"({expected[2:]})"
+        )
+    return net
 
 
 def read_snapshot(path) -> FinancialNetwork:
@@ -422,9 +467,13 @@ def read_snapshot(path) -> FinancialNetwork:
     node to itself or name an empty node id, no node or (lender,
     borrower) pair may appear twice, and a ``# nodes=N edges=E`` header
     must match the body. Violations raise an error naming the line.
-    Loans are parsed as columns, like trades.
+    Plain chunks are parsed as columns, like trades; after any fault the
+    file is read again one line at a time, which names the earliest one.
     """
-    return _parse_file(path, _snapshot_from_lines)
+    try:
+        return _parse_file(path, functools.partial(_snapshot_from_lines, plain=True))
+    except InputError:
+        return _parse_file(path, _snapshot_from_lines)
 
 
 def is_snapshot_file(path) -> bool:

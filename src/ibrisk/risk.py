@@ -75,14 +75,19 @@ def systemic_probabilities(q: np.ndarray, p_exo: np.ndarray) -> np.ndarray:
     return q @ p_exo  # diagonal of q is zero by construction
 
 
+def check_p_exo(p_exo: float) -> None:
+    """Reject an exogenous default probability that is not finite and positive."""
+    if not (np.isfinite(p_exo) and p_exo > 0):
+        raise ParameterError(f"exogenous probability must be finite and positive, got {p_exo}")
+
+
 def default_probabilities(delta: np.ndarray, p_exo: float) -> np.ndarray:
     """Overall default probability p_i = (1 + delta_i) * p_exo.
 
     Valid only in the single-seeded-default regime; errors out when any
     probability would exceed 1.
     """
-    if not (np.isfinite(p_exo) and p_exo > 0):
-        raise ParameterError(f"exogenous probability must be finite and positive, got {p_exo}")
+    check_p_exo(p_exo)
     delta = np.asarray(delta)
     p = (1.0 + delta) * p_exo
     bad = np.flatnonzero(p > 1.0)

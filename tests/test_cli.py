@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from ibrisk import experiments
+from ibrisk import cli, experiments
 from ibrisk.cli import EXIT_BAD_ARGS, EXIT_CALIBRATION, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 
 T3_FILE = """\
@@ -272,6 +272,20 @@ def test_roi_zero_balance_fails_before_ensemble(tmp_path, capsys, monkeypatch):
     code = run_cli(["roi", "--input", source, "--out", tmp_path / "o"])
     assert code == EXIT_BAD_ARGS
     assert capsys.readouterr().err == "error: node 'c' has zero balance; ROI undefined\n"
+
+
+@pytest.mark.parametrize("command", ["risk", "roi", "sweep-eta", "sweep-alpha"])
+def test_bad_p_exo_fails_before_loading(command, t3_file, tmp_path, capsys, monkeypatch):
+    def nothing_runs(*args, **kwargs):
+        raise AssertionError("the input was loaded or the seed ensemble ran")
+
+    monkeypatch.setattr(cli, "load_network", nothing_runs)
+    monkeypatch.setattr(experiments, "run_ensemble", nothing_runs)
+    code = run_cli([command, "--input", t3_file, "--p-exo", "nan", "--out", tmp_path / "o"])
+    assert code == EXIT_BAD_ARGS
+    assert capsys.readouterr().err == (
+        "error: exogenous probability must be finite and positive, got nan\n"
+    )
 
 
 def test_unexpected_exception_exits_internal(t3_file, tmp_path, capsys, monkeypatch):

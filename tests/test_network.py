@@ -17,6 +17,7 @@ from ibrisk import (
     write_snapshot,
 )
 from ibrisk import network
+from ibrisk.experiments import SyntheticSpec, generate_synthetic
 
 from loan_dicts import loans_of, network as network_of
 
@@ -200,6 +201,15 @@ def test_snapshot_round_trip_preserves_isolated_nodes(tmp_path):
     assert read_snapshot(path) == net
 
 
+def is_utf8(text):
+    """False for text holding lone surrogates: bytes of a file that did not decode."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def per_record_ingest(lines, start, end):
     """Reference for ingest_transactions + aggregate_window: parse,
     check and sum one line at a time.
@@ -209,13 +219,15 @@ def per_record_ingest(lines, start, end):
     """
     warnings, records = [], []
     for lineno, raw in enumerate(lines, start=1):
+        where = f"<stream>:{lineno}"
         line = raw.strip()
+        if not is_utf8(line):
+            return warnings, f"{where}: not valid UTF-8 text"
         if not line:
             warnings.append(f"<stream>:{lineno}: blank line skipped")
             continue
         if line.startswith("#"):
             continue
-        where = f"<stream>:{lineno}"
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 4:
             return warnings, f"{where}: expected 4 fields, got {len(parts)}"
@@ -348,3 +360,203 @@ def test_snapshot_read_independent_of_chunking(tmp_path_factory, lines, bad, chu
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(network, "PARSE_CHUNK", chunk)
         assert read() == whole
+
+
+def per_record_snapshot(lines, source):
+    """Reference for read_snapshot: parse and check one line at a time.
+
+    Returns the ``InputError`` message or the network's (nodes, loans).
+    """
+    declared, ids, loans, header = {}, {}, {}, None
+    for lineno, raw in enumerate(lines, start=1):
+        where = f"{source}:{lineno}"
+        line = raw.strip()
+        if not is_utf8(line):
+            return f"{where}: not valid UTF-8 text"
+        if line.startswith("# node "):
+            node = line[len("# node ") :]
+            if node in declared:
+                return f"{where}: duplicate node {node!r}"
+            declared[node] = None
+        elif line.startswith("# nodes="):
+            header = (lineno, line)
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 3:
+            return f"{where}: expected 3 fields"
+        lender, borrower, amount_text = parts
+        if not lender or not borrower:
+            return f"{where}: empty node id"
+        try:
+            amount = float(amount_text)
+        except ValueError:
+            return f"{where}: unparseable amount"
+        if not math.isfinite(amount) or amount <= 0:
+            return f"{where}: amount must be strictly positive, got {amount_text}"
+        if lender == borrower:
+            return f"{where}: self-loop on node {lender!r} rejected"
+        if (lender, borrower) in loans:
+            return f"{where}: duplicate loan {lender!r}->{borrower!r}"
+        ids.update(dict.fromkeys((lender, borrower)))
+        loans[lender, borrower] = amount
+    nodes = [*declared, *(node for node in ids if node not in declared)]
+    counts = f"nodes={len(nodes)} edges={len(loans)}"
+    if header is not None and header[1] != "# " + counts:
+        return f"{source}:{header[0]}: header {header[1]!r} disagrees with the body ({counts})"
+    position = {node: k for k, node in enumerate(nodes)}
+    return nodes, {(position[a], position[b]): amount for (a, b), amount in loans.items()}
+
+
+# Byte strings put at a field edge: a BOM, CR, NUL, a byte that is not
+# UTF-8, U+00A0 (whitespace to str.strip), tab and space.
+EDGE_BYTES = [b"\xef\xbb\xbf", b"\r", b"\x00", b"\xff", b"\xc2\xa0", b"\t", b" "]
+MUTATIONS = ["hash", "underscore", "edge", "duplicate", "blank", "no-newline"]
+
+
+@st.composite
+def mutated(draw, lines):
+    """The byte lines of a file with up to four mutations: a '#' inside a
+    line, '_' in an amount, EDGE_BYTES at a field edge, a duplicated or a
+    blank line, or no newline at the end."""
+    lines = list(lines) or [b"\n"]
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=4)):
+        k = draw(st.integers(0, len(lines) - 1))
+        line = lines[k]
+        if kind == "hash":
+            at = draw(st.integers(0, len(line.rstrip(b"\n"))))
+            lines[k] = line[:at] + b"#" + line[at:]
+        elif kind == "underscore" and line.count(b",") >= 2:
+            at = line.index(b",", line.index(b",") + 1) + 2  # after the amount's first byte
+            lines[k] = line[:at] + b"_" + line[at:]
+        elif kind == "edge":
+            at = draw(st.sampled_from(
+                [0, len(line.rstrip(b"\n"))]
+                + [i + side for i, byte in enumerate(line) if byte == ord(",") for side in (0, 1)]
+            ))
+            lines[k] = line[:at] + draw(st.sampled_from(EDGE_BYTES)) + line[at:]
+        elif kind == "duplicate":
+            lines.insert(k, line)
+        elif kind == "blank":
+            lines.insert(k, draw(st.sampled_from([b"\n", b" \n"])))
+        elif kind == "no-newline":
+            lines[-1] = lines[-1].rstrip(b"\n")
+    return lines
+
+
+NODE_IDS = ["A", "B", "n164", "é", "Ωx"]  # ASCII and non-ASCII ids
+AMOUNTS = st.sampled_from(["10.5", "88.93", "3", "1e-3", "0.25"]) | st.floats(0.01, 1e6).map(repr)
+
+
+@st.composite
+def trade_file(draw):
+    """A trades file in perfbench's shape, now and then with a bad id, amount or date."""
+    lines = [b"# lender,borrower,amount,date\n"] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 12))):
+        lender, borrower = draw(st.permutations(NODE_IDS))[:2]
+        amount = draw(AMOUNTS)
+        date = draw(st.sampled_from(["2020-01-01", "2020-01-02", "2021-06-30"]))
+        if draw(st.integers(0, 9)) == 0:
+            lender, amount, date = draw(st.sampled_from(
+                [("", amount, date), (borrower, amount, date), (lender, "0", date),
+                 (lender, "nan", date), (lender, "1e400", date), (lender, amount, "2020-02-30")]
+            ))
+        lines.append(f"{lender},{borrower},{amount},{date}\n".encode())
+    return draw(mutated(lines))
+
+
+@st.composite
+def snapshot_file(draw):
+    """A snapshot as write_snapshot writes it, header and node lines first."""
+    declared = draw(st.lists(st.sampled_from(NODE_IDS), unique=True, max_size=4))
+    pairs = draw(st.lists(st.permutations(NODE_IDS).map(lambda ids: tuple(ids[:2])),
+                          unique=True, max_size=8))
+    nodes = dict.fromkeys([*declared, *(node for pair in pairs for node in pair)])
+    lines = [f"# nodes={len(nodes)} edges={len(pairs)}\n"]
+    lines += [f"# node {node}\n" for node in declared]
+    lines += [f"{a},{b},{draw(AMOUNTS)}\n" for a, b in pairs]
+    return draw(mutated([line.encode() for line in lines]))
+
+
+def read_lines(path):
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        return list(handle)
+
+
+def outcome(parse, *args):
+    try:
+        return parse(*args)
+    except InputError as exc:
+        return str(exc)
+
+
+def trade_bits(trades):
+    if isinstance(trades, str):
+        return trades
+    columns = (trades.lender, trades.borrower, trades.amount, trades.day)
+    return trades.names, *(column.tobytes() for column in columns)
+
+
+# Each chunk is parsed as columns or, at any doubt, one line at a time by
+# the same rules; either way the outcome is the per-record loop's.
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=trade_file(), chunk=st.sampled_from([1, 2, 3, network.PARSE_CHUNK]))
+def test_mutated_trades_match_per_record_loop(tmp_path_factory, data, chunk, caplog):
+    path = tmp_path_factory.getbasetemp() / "mutated-trades.csv"
+    path.write_bytes(b"".join(data))
+    lines = read_lines(path)
+    expected_warnings, expected = per_record_ingest(lines, None, None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "PARSE_CHUNK", chunk)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="ibrisk.network"):
+            trades = outcome(ingest_transactions, lines)
+        assert caplog.messages == expected_warnings
+        patch.setattr(network, "_plain_chunk", lambda *args: None)
+        assert trade_bits(trades) == trade_bits(outcome(ingest_transactions, lines))
+    if isinstance(expected, str):  # a bad line, or no rows to aggregate
+        got = trades if isinstance(trades, str) else outcome(aggregate_window, trades)
+        assert got == expected
+    else:
+        assert trades.names == tuple(expected[0])
+        assert aggregate_window(trades) == network_of(*expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=snapshot_file(), chunk=st.sampled_from([1, 2, 3, network.PARSE_CHUNK]))
+def test_mutated_snapshots_match_per_record_loop(tmp_path_factory, data, chunk):
+    path = tmp_path_factory.getbasetemp() / "mutated-snapshot.csv"
+    path.write_bytes(b"".join(data))
+    expected = per_record_snapshot(read_lines(path), str(path))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "PARSE_CHUNK", chunk)
+        got = outcome(read_snapshot, path)
+    assert got == (expected if isinstance(expected, str) else network_of(*expected))
+
+
+def test_plain_files_never_reach_the_per_line_loop(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    lender = rng.integers(1000, size=3000)
+    borrower = (lender + rng.integers(1, 1000, size=3000)) % 1000
+    amount = rng.lognormal(3.0, 1.0, size=3000) + 0.01
+    day = rng.integers(730, size=3000)
+    trades = tmp_path / "trades.csv"
+    with open(trades, "w", encoding="utf-8") as handle:  # perfbench's trades file
+        handle.write("# lender,borrower,amount,date\n")
+        handle.writelines(
+            f"n{i:03d},n{j:03d},{a:.2f},{dt.date(2023, 1, 1) + dt.timedelta(days=int(d))}\n"
+            for i, j, a, d in zip(lender, borrower, amount, day)
+        )
+    net = generate_synthetic(SyntheticSpec(n_nodes=150))
+    snapshot = tmp_path / "network.csv"
+    write_snapshot(net, snapshot)
+
+    def by_line(*args, **kwargs):
+        raise AssertionError("a chunk went to the per-line loop")
+
+    monkeypatch.setattr(network, "_by_line", by_line)
+    for chunk in (100, network.PARSE_CHUNK):  # 100: chunks of only '# node' lines too
+        monkeypatch.setattr(network, "PARSE_CHUNK", chunk)
+        assert len(network.ingest_file(trades)) == 3000
+        assert read_snapshot(snapshot) == net
