@@ -31,10 +31,10 @@ from .risk import check_p_exo
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
-EXIT_BAD_ARGS = 2
-EXIT_INPUT = 3
-EXIT_CALIBRATION = 4
-EXIT_INTERNAL = 5
+EXIT_BAD_ARGS = ParameterError.exit_code
+EXIT_INPUT = InputError.exit_code
+EXIT_CALIBRATION = CalibrationError.exit_code
+EXIT_INTERNAL = IbRiskError.exit_code
 
 COMMANDS = ("ingest", "cascade", "risk", "roi", "sweep-eta", "sweep-alpha", "iso", "synth")
 
@@ -352,18 +352,10 @@ def main(argv=None) -> int:
     try:
         config = resolve_config(args)
         summary = execute_scenario(config, args.command)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CalibrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CALIBRATION
     except IbRiskError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        kind = "internal error" if exc.exit_code == EXIT_INTERNAL else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except Exception as exc:  # anything unexpected: one line, no traceback
         logger.debug("unexpected failure", exc_info=True)
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -15,9 +15,11 @@ Distress never falls, so every edge fires exactly once: in the round
 after its source's distress first turns positive. One kernel runs many
 cascades together as a breadth-first frontier sweep over (seed, node)
 pairs, expanding only the pairs that turned positive in the previous
-round. It adds each target's increments in canonical (source, target)
-edge order, one at a time, so every cascade keeps the bits of a
-per-edge sequential transcription of the update.
+round. Seeds are swept in blocks of about BLOCK_CELLS (seed, node)
+cells, and a round's fired edges are expanded and scattered in pieces
+of whole frontier pairs. Each target's increments are added in
+canonical (source, target) edge order, one at a time, so every cascade
+keeps the bits of a per-edge sequential transcription of the update.
 """
 from __future__ import annotations
 
@@ -31,9 +33,10 @@ from .errors import InputError, InvariantError
 
 DEFAULT_TOLERANCE = 1e-12  # slack below 1.0 still counted as default
 # Peak memory depends on these, not on N squared: the kernel sweeps
-# SEED_BLOCK seeds at a time and scatters a round's increments in
-# pieces of at most SCATTER_PIECE fired edges.
-SEED_BLOCK = 32
+# blocks of about BLOCK_CELLS (seed, node) cells, at least one seed's
+# row, and scatters a round's increments in pieces of whole frontier
+# pairs, at most SCATTER_PIECE + N - 1 fired edges.
+BLOCK_CELLS = 65536
 SCATTER_PIECE = 16384
 
 
@@ -135,7 +138,11 @@ def _sweep_block(
     order. The frontier holds the (row, node) pairs whose distress
     turned positive in the previous round, as flat ``row * N + node``
     indices in ascending order: sorted by (seed, source), so np.add.at
-    meets each target cell's increments in source order.
+    meets each target cell's increments in source order. Each round's
+    pairs are cut into pieces of whole pairs, cut after the pair whose
+    last edge closes a stretch of SCATTER_PIECE fired edges; a piece's
+    edges, cells and increments are its pairs' values repeated by their
+    edge counts.
     """
     b, n = h.shape
     flat = h.reshape(-1)  # a view: h is a C-contiguous block of rows
@@ -159,23 +166,21 @@ def _sweep_block(
         if steps.max() > n:
             raise InvariantError("cascade failed to terminate")
         shift = starts - (ends - counts)  # edge id minus position among fired edges
-        for lo in range(0, total, SCATTER_PIECE):
-            hi = min(lo + SCATTER_PIECE, total)
-            first, last = np.searchsorted(ends, (lo, hi - 1), side="right")
-            taken = np.minimum(ends[first : last + 1], hi) - np.maximum(
-                ends[first : last + 1] - counts[first : last + 1], lo
-            )
-            pair = np.repeat(np.arange(first, last + 1), taken)
-            edge = np.arange(lo, hi) + shift[pair]
+        cut = np.flatnonzero(np.diff((ends - 1) // SCATTER_PIECE)) + 1
+        for lo, hi in zip([0, *cut.tolist()], [*cut.tolist(), len(front)]):
+            fired = counts[lo:hi]
+            edge = np.arange(ends[lo] - fired[0], ends[hi - 1]) + np.repeat(shift[lo:hi], fired)
             target = weights.dst[edge]
             if first_round:  # only the seeds fire: their lenders get payouts
                 loss = weights.loss[edge]
                 weight = edge_weights(
-                    loss - _payouts(loss, ratio[rows[pair]]), cal.reserve[target]
+                    loss - _payouts(loss, np.repeat(ratio[rows[lo:hi]], fired)),
+                    cal.reserve[target],
                 )
             else:
                 weight = weights.weight[edge]
-            np.add.at(flat, rows[pair] * n + target, weight * source[pair])
+            weight *= np.repeat(source[lo:hi], fired)
+            np.add.at(flat, np.repeat(rows[lo:hi] * n, fired) + target, weight)
         # One cap per round equals a cap after every increment: the
         # increments are nonnegative, so a sum that passes 1 stays there.
         np.minimum(flat, 1.0, out=flat)
@@ -204,8 +209,9 @@ def _propagate(
     requested = _requested(weights, n)
     h = np.zeros((len(seeds), n))
     steps = np.empty(len(seeds), dtype=np.int64)
-    for lo in range(0, len(seeds), SEED_BLOCK):
-        block = seeds[lo : lo + SEED_BLOCK]
+    rows = max(1, BLOCK_CELLS // n)
+    for lo in range(0, len(seeds), rows):
+        block = seeds[lo : lo + rows]
         ratio = _fund_ratios(cal.fund_contribution, requested, block)
         steps[lo : lo + len(block)] = _sweep_block(
             h[lo : lo + len(block)], block, psi, ratio, cal, weights, offsets, trace

@@ -10,7 +10,9 @@ from ibrisk import (
     SeedSpec,
     calibrate,
     compute_rescue_payouts,
+    SyntheticSpec,
     conditional_default_matrix,
+    generate_synthetic,
     run_cascade,
     run_ensemble,
 )
@@ -170,9 +172,10 @@ def test_fund_path_matches_oracle_property(net, eta, alpha):
         assert engine.steps == steps
 
 
-# The kernel sweeps SEED_BLOCK seeds together and scatters a round in
-# pieces of SCATTER_PIECE fired edges; tiny values split both inside a
-# round, which must not change a single bit.
+# The kernel sweeps blocks of BLOCK_CELLS cells (here 1-3 seed rows)
+# and scatters a round in pieces of whole frontier pairs cut every
+# SCATTER_PIECE fired edges; tiny values split both inside a round,
+# which must not change a single bit.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(
@@ -185,7 +188,7 @@ def test_fund_path_matches_oracle_property(net, eta, alpha):
 def test_ensemble_matches_oracle_property(net, eta, alpha, block, piece):
     cal = calibrate(net, CalibrationParams(beta=10.0, eta=eta, alpha=alpha))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(contagion, "SEED_BLOCK", block)
+        patch.setattr(contagion, "BLOCK_CELLS", block * net.n_nodes)
         patch.setattr(contagion, "SCATTER_PIECE", piece)
         ens = run_ensemble(cal)
     assert ens.final_distress.shape == ens.defaulted.shape == (net.n_nodes, net.n_nodes)
@@ -198,6 +201,46 @@ def test_ensemble_matches_oracle_property(net, eta, alpha, block, piece):
         assert ens.final_distress[seed].tolist() == h
         assert set(np.flatnonzero(ens.defaulted[seed]).tolist()) == defaulted
         assert ens.steps[seed] == steps
+
+
+# Hub 0 borrows from lenders 1-4, so with pieces cut every 2 fired
+# edges its pair is wider than a piece. Lenders 1 and 2 borrow from no
+# one: in the round after seed 0 the frontier (seed 0; nodes 1-4) opens
+# with two pairs that fire no edge, then 3 and 4 pass distress to 5.
+HUB_LOANS = {(1, 0): 4.0, (2, 0): 3.0, (3, 0): 5.0, (4, 0): 2.5, (5, 3): 6.0, (5, 4): 1.5}
+
+
+# Each (eta, alpha) leaves the hub's lenders a loss, so its cascade
+# takes both rounds. With a fund, seeds 3 and 4 share a first-round
+# piece and get different payout ratios (0.525 and 1 at 0.1, 0.1).
+@pytest.mark.parametrize("eta, alpha", [(0.0, 0.0), (0.1, 0.0), (0.1, 0.1), (0.3, 0.05)])
+def test_ensemble_hub_wider_than_piece_matches_oracle(monkeypatch, eta, alpha):
+    net = network(tuple(str(k) for k in range(6)), HUB_LOANS)
+    cal = calibrate(net, CalibrationParams(beta=10.0, eta=eta, alpha=alpha))
+    monkeypatch.setattr(contagion, "SCATTER_PIECE", 2)
+    ens = run_ensemble(cal)
+    for seed in range(net.n_nodes):
+        payouts = naive_payouts(HUB_LOANS, cal.fund_contribution.tolist(), seed)
+        h, defaulted, steps = naive_cascade(
+            net.n_nodes, HUB_LOANS, cal.reserve.tolist(), seed, payouts=payouts
+        )
+        assert ens.final_distress[seed].tolist() == h
+        assert set(np.flatnonzero(ens.defaulted[seed]).tolist()) == defaulted
+        assert ens.steps[seed] == steps
+    assert ens.steps[0] == 2  # the hub's cascade reaches node 5
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.005])
+def test_ensemble_invariant_under_block_size(monkeypatch, eta):
+    # 7 * 60 leaves a remainder block of 4 rows; 60 * 60 is one block.
+    cal = calibrate(generate_synthetic(SyntheticSpec(n_nodes=60)), CalibrationParams(10.0, eta, 0.01))
+    reference = run_ensemble(cal)
+    for cells in (1, 60, 7 * 60, 60 * 60):
+        monkeypatch.setattr(contagion, "BLOCK_CELLS", cells)
+        ens = run_ensemble(cal)
+        assert ens.final_distress.tobytes() == reference.final_distress.tobytes()
+        assert ens.steps.tolist() == reference.steps.tolist()
+        assert ens.defaulted.tolist() == reference.defaulted.tolist()
 
 
 def _bfs_depths(net, seed):
