@@ -14,8 +14,6 @@ from .calibration import (
 )
 from .contagion import (
     CascadeEnsemble,
-    CascadeOutcome,
-    SeedSpec,
     compute_rescue_payouts,
     run_cascade,
     run_ensemble,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import experiments, network, roi
 from .calibration import CalibrationParams, calibrate
-from .contagion import SeedSpec, run_cascade
+from .contagion import run_cascade
 from .errors import CalibrationError, IbRiskError, InputError, ParameterError
 from .network import FinancialNetwork
 from .risk import check_p_exo
@@ -125,13 +125,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return config
 
 
-def _parse_date(text: str, what: str) -> dt.date:
-    try:
-        return dt.date.fromisoformat(text)
-    except ValueError:
-        raise ParameterError(f"bad {what} date {text!r}") from None
-
-
 def _parse_number(cast, text: str, what: str):
     try:
         return cast(text)
@@ -169,8 +162,11 @@ def load_network(config: dict) -> FinancialNetwork:
     if network.is_snapshot_file(path):
         return network.read_snapshot(path)
     trades = network.ingest_file(path)
-    start = _parse_date(config["window_start"], "window start") if config["window_start"] else None
-    end = _parse_date(config["window_end"], "window end") if config["window_end"] else None
+    start, end = (
+        _parse_number(dt.date.fromisoformat, config[key], key.replace("_", " ") + " date")
+        if config[key] else None
+        for key in ("window_start", "window_end")
+    )
     return network.aggregate_window(trades, start, end)
 
 
@@ -213,28 +209,20 @@ def cmd_cascade(config: dict, out_dir: Path) -> str:
         raise ParameterError("--seed-node is required for cascade")
     seed = net.index_of(str(config["seed_node"]))
     cal = calibrate(net, _params(config))
-    outcome = run_cascade(cal, SeedSpec(seed=seed), record_trace=True)
+    ens = run_cascade(cal, seed)
     rows = []
-    for step, snapshot in enumerate(outcome.trace):
-        for idx, value in enumerate(snapshot):
+    for step, snapshot in enumerate(ens.trace):
+        for idx, value in enumerate(snapshot[0]):
             rows.append([step, net.nodes[idx], float(value)])
     _write_csv(out_dir / "trace.csv", ["step", "node", "h"], rows)
-    return (
-        f"seed={net.nodes[seed]} defaults={len(outcome.defaulted)} "
-        f"steps={outcome.steps}"
-    )
-
-
-def _evaluate(config: dict, net: FinancialNetwork) -> experiments.PointResult:
-    return experiments.evaluate_point(
-        net, config["beta"], config["eta"], config["alpha"], _rates(config), config["p_exo"]
-    )
+    return f"seed={net.nodes[seed]} defaults={int(ens.defaulted[0].sum())} steps={ens.steps[0]}"
 
 
 def cmd_risk(config: dict, out_dir: Path) -> str:
     check_p_exo(config["p_exo"])  # before the input is loaded
     net = load_network(config)
-    point = _evaluate(config, net)
+    cal = calibrate(net, _params(config))
+    point = experiments.evaluate_point(cal, _rates(config), config["p_exo"])
     delta, p = point.delta, point.default_prob
     rows = [
         [net.nodes[i], int(delta[i]), float(point.cascade_risk_nodes[i]), float(p[i]),
@@ -257,9 +245,10 @@ def cmd_risk(config: dict, out_dir: Path) -> str:
 def cmd_roi(config: dict, out_dir: Path) -> str:
     check_p_exo(config["p_exo"])
     net = load_network(config)
+    cal = calibrate(net, _params(config))
     # ROI is undefined at a zero balance: fail before the seed ensemble runs.
-    roi.require_positive_balance(net.nodes, calibrate(net, _params(config)).balance)
-    point = _evaluate(config, net)
+    roi.require_positive_balance(net.nodes, cal.balance)
+    point = experiments.evaluate_point(cal, _rates(config), config["p_exo"])
     rows = [
         [net.nodes[i], float(point.roi_nominal[i]), float(point.roi_risk_adjusted[i]),
          float(point.default_prob[i])]

@@ -20,6 +20,10 @@ cells, and a round's fired edges are expanded and scattered in pieces
 of whole frontier pairs. Each target's increments are added in
 canonical (source, target) edge order, one at a time, so every cascade
 keeps the bits of a per-edge sequential transcription of the update.
+
+One driver builds every result, a CascadeEnsemble with one row per
+seed: run_ensemble seeds every node, and run_cascade seeds one node and
+also keeps the distress after each round.
 """
 from __future__ import annotations
 
@@ -41,39 +45,16 @@ SCATTER_PIECE = 16384
 
 
 @dataclass(frozen=True)
-class SeedSpec:
-    """Seed node (index) and its initial distress, usually 1."""
-
-    seed: int
-    initial_distress: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.initial_distress <= 1.0:
-            raise InputError(
-                f"initial distress must be in (0, 1], got {self.initial_distress}"
-            )
-
-
-@dataclass(frozen=True)
-class CascadeOutcome:
-    """Result of one seeded cascade run."""
-
-    seed: int
-    initial_distress: float
-    final_distress: np.ndarray
-    defaulted: frozenset[int]
-    steps: int
-    trace: Optional[tuple[np.ndarray, ...]] = None
-
-
-@dataclass(frozen=True)
 class CascadeEnsemble:
-    """One full-distress cascade per seed node; row j is seeded at node j."""
+    """One full-distress cascade per seed, one row each."""
 
     final_distress: np.ndarray  # (seeds x nodes)
     steps: np.ndarray  # rounds per seed, at least 1
     defaulted: np.ndarray  # bool (seeds x nodes); each seed counts as defaulted
     n_nodes: int
+    # (seeds x nodes) distress before the first round and after each
+    # round that fired an edge; recorded by run_cascade only.
+    trace: Optional[tuple[np.ndarray, ...]] = None
 
 
 def _requested(weights: PropagationWeights, n: int) -> np.ndarray:
@@ -125,7 +106,6 @@ def compute_rescue_payouts(cal: CalibratedNetwork, seed: int) -> np.ndarray:
 def _sweep_block(
     h: np.ndarray,
     seeds: np.ndarray,
-    psi: float,
     ratio: np.ndarray,
     cal: CalibratedNetwork,
     weights: PropagationWeights,
@@ -147,7 +127,7 @@ def _sweep_block(
     b, n = h.shape
     flat = h.reshape(-1)  # a view: h is a C-contiguous block of rows
     front = np.arange(b) * n + seeds
-    flat[front] = psi
+    flat[front] = 1.0
     spent = flat > 0.0
     if trace is not None:
         trace.append(h.copy())
@@ -192,19 +172,18 @@ def _sweep_block(
     return np.maximum(steps, 1)
 
 
-def _propagate(
-    cal: CalibratedNetwork,
-    weights: PropagationWeights,
-    seeds: np.ndarray,
-    psi: float,
-    trace: Optional[list] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cascades from ``seeds``, one row each: (distress, rounds, default mask).
+def _cascades(
+    cal: CalibratedNetwork, seeds: np.ndarray, trace: Optional[list] = None
+) -> CascadeEnsemble:
+    """Cascades from ``seeds``, one row each.
 
-    ``trace``, passed for a single seed, collects the distress rows
-    before the first round and after each round that fired an edge.
+    ``trace``, passed for a single seed block, collects the distress
+    rows before the first round and after each round that fired an edge.
     """
     n = cal.net.n_nodes
+    if n < 2:
+        raise InputError("cascade needs at least 2 nodes")
+    weights = propagation_weights(cal)
     offsets = np.searchsorted(weights.src, np.arange(n + 1))
     requested = _requested(weights, n)
     h = np.zeros((len(seeds), n))
@@ -214,46 +193,25 @@ def _propagate(
         block = seeds[lo : lo + rows]
         ratio = _fund_ratios(cal.fund_contribution, requested, block)
         steps[lo : lo + len(block)] = _sweep_block(
-            h[lo : lo + len(block)], block, psi, ratio, cal, weights, offsets, trace
+            h[lo : lo + len(block)], block, ratio, cal, weights, offsets, trace
         )
-    defaulted = h >= 1.0 - DEFAULT_TOLERANCE
-    defaulted[np.arange(len(seeds)), seeds] = True
-    return h, steps, defaulted
+    # A seed starts at 1 and distress never falls, so it counts as defaulted.
+    return CascadeEnsemble(
+        final_distress=h,
+        steps=steps,
+        defaulted=h >= 1.0 - DEFAULT_TOLERANCE,
+        n_nodes=n,
+        trace=None if trace is None else tuple(trace),
+    )
 
 
-def run_cascade(
-    cal: CalibratedNetwork,
-    seed: SeedSpec,
-    *,
-    weights: Optional[PropagationWeights] = None,
-    record_trace: bool = False,
-) -> CascadeOutcome:
-    """Run one cascade from a single seeded default. Deterministic."""
-    n = cal.net.n_nodes
-    if n < 2:
-        raise InputError("cascade needs at least 2 nodes")
-    if not 0 <= seed.seed < n:
-        raise InputError(f"unknown seed node index {seed.seed}")
-    if weights is None:
-        weights = propagation_weights(cal)
-    trace = [] if record_trace else None
-    h, steps, defaulted = _propagate(
-        cal, weights, np.array([seed.seed]), seed.initial_distress, trace
-    )
-    return CascadeOutcome(
-        seed=seed.seed,
-        initial_distress=seed.initial_distress,
-        final_distress=h[0],
-        defaulted=frozenset(int(i) for i in np.flatnonzero(defaulted[0])),
-        steps=int(steps[0]),
-        trace=tuple(t[0] for t in trace) if record_trace else None,
-    )
+def run_cascade(cal: CalibratedNetwork, seed: int) -> CascadeEnsemble:
+    """One cascade from ``seed``: a one-row ensemble with its trace."""
+    if not 0 <= seed < cal.net.n_nodes:
+        raise InputError(f"unknown seed node index {seed}")
+    return _cascades(cal, np.array([seed]), trace=[])
 
 
 def run_ensemble(cal: CalibratedNetwork) -> CascadeEnsemble:
     """One full-distress cascade per seed node, rows in node order."""
-    n = cal.net.n_nodes
-    if n == 1:  # an empty network has no seeds and an empty ensemble
-        raise InputError("cascade needs at least 2 nodes")
-    h, steps, defaulted = _propagate(cal, propagation_weights(cal), np.arange(n), 1.0)
-    return CascadeEnsemble(final_distress=h, steps=steps, defaulted=defaulted, n_nodes=n)
+    return _cascades(cal, np.arange(cal.net.n_nodes))

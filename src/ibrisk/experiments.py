@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calibration import CalibrationParams, calibrate
+from .calibration import CalibratedNetwork, CalibrationParams, calibrate
 from .contagion import run_ensemble
 from .errors import InputError, ParameterError
 from .network import FinancialNetwork
@@ -71,33 +71,22 @@ class PointResult:
     market_roi_unweighted: float
 
 
-def _defaults_per_node(net: FinancialNetwork, beta: float, eta: float, alpha: float):
-    """Calibrate and run the fund-on seed ensemble: (calibration, ensemble, delta)."""
-    cal = calibrate(net, CalibrationParams(beta=beta, eta=eta, alpha=alpha))
-    ensemble = run_ensemble(cal)
-    _, delta = conditional_default_matrix(ensemble)
-    return cal, ensemble, delta
-
-
 def evaluate_point(
-    net: FinancialNetwork,
-    beta: float,
-    eta: float,
-    alpha: float,
-    rates: RoiRates = DEFAULT_RATES,
-    p_exo: float = 0.001,
+    cal: CalibratedNetwork, rates: RoiRates = DEFAULT_RATES, p_exo: float = 0.001
 ) -> PointResult:
-    """Calibrate, run the full seed ensemble with the fund, and reduce.
+    """Run the full seed ensemble with the fund on ``cal``, and reduce.
 
     Impact is zero on an edgeless network; ROI is NaN when any node has
     zero balance.
     """
-    cal, ensemble, delta = _defaults_per_node(net, beta, eta, alpha)
-    node_risk, system_risk = cascade_risk(delta, net.n_nodes)
+    n = cal.net.n_nodes
+    ensemble = run_ensemble(cal)
+    _, delta = conditional_default_matrix(ensemble)
+    node_risk, system_risk = cascade_risk(delta, n)
     if np.sum(cal.strengths.out_strength) > 0:
         dr_nodes, dr_avg = debtrank_metric(ensemble, cal.strengths)
     else:  # edgeless network: no economic value at risk
-        dr_nodes, dr_avg = np.zeros(net.n_nodes), 0.0
+        dr_nodes, dr_avg = np.zeros(n), 0.0
     p = default_probabilities(delta, p_exo)
     if np.all(cal.balance > 0):
         nominal = nominal_roi(cal, rates)
@@ -105,8 +94,8 @@ def evaluate_point(
         weighted = float(np.average(adjusted, weights=cal.balance))
         unweighted = float(np.mean(adjusted))
     else:  # ROI is undefined for zero-balance nodes
-        nominal = np.full(net.n_nodes, np.nan)
-        adjusted = np.full(net.n_nodes, np.nan)
+        nominal = np.full(n, np.nan)
+        adjusted = np.full(n, np.nan)
         weighted = unweighted = float("nan")
     return PointResult(
         cascade_risk_system=system_risk,
@@ -128,7 +117,8 @@ def sweep(net: FinancialNetwork, spec: SweepSpec) -> list[SweepRow]:
     for value in spec.grid:
         eta = value if spec.varying == "eta" else spec.fixed
         alpha = value if spec.varying == "alpha" else spec.fixed
-        point = evaluate_point(net, spec.beta, eta, alpha, spec.rates, spec.p_exo)
+        cal = calibrate(net, CalibrationParams(spec.beta, eta, alpha))
+        point = evaluate_point(cal, spec.rates, spec.p_exo)
         rows.append(
             SweepRow(
                 param_name=spec.varying,
@@ -181,7 +171,8 @@ def iso_curve(
     def pc_at(eta: float, alpha: float) -> float:
         key = (eta, alpha)
         if key not in cache:
-            delta = _defaults_per_node(net, beta, eta, alpha)[2]
+            ensemble = run_ensemble(calibrate(net, CalibrationParams(beta, eta, alpha)))
+            delta = conditional_default_matrix(ensemble)[1]
             cache[key] = cascade_risk(delta, net.n_nodes)[1]
         return cache[key]
 

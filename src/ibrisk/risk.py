@@ -7,8 +7,6 @@ value under distress after shocking one node).
 """
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .contagion import CascadeEnsemble
@@ -101,23 +99,16 @@ def default_probabilities(delta: np.ndarray, p_exo: float) -> np.ndarray:
     return p
 
 
-def debtrank_metric(
-    ens: CascadeEnsemble,
-    strengths: NodeStrengths,
-    values: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, float]:
+def debtrank_metric(ens: CascadeEnsemble, strengths: NodeStrengths) -> tuple[np.ndarray, float]:
     """Impact of each seed: distressed economic value minus the seed's own.
 
-    Economic value defaults to the out-strength share (injectable for
-    sensitivity checks). Returns (per-seed impact, mean over seeds).
+    Economic value is the out-strength share. Returns (per-seed impact,
+    mean over seeds).
     """
-    if values is None:
-        total = float(np.sum(strengths.out_strength))
-        if total <= 0:
-            raise ParameterError("total lending is zero; no economic value weights")
-        values = strengths.out_strength / total
-    else:
-        values = np.asarray(values, dtype=np.float64)
+    total = float(np.sum(strengths.out_strength))
+    if total <= 0:
+        raise ParameterError("total lending is zero; no economic value weights")
+    values = strengths.out_strength / total
     # One 1-D dot per seed: a matrix-vector product may sum in another
     # order. Every seed starts fully distressed, so its own share is
     # values[seed].

@@ -9,7 +9,6 @@ import pytest
 from ibrisk import (
     CalibrationParams,
     RoiRates,
-    SeedSpec,
     SyntheticSpec,
     calibrate,
     cascade_risk,
@@ -60,7 +59,8 @@ def grid_results(synthetic_networks):
         dr = np.empty_like(pc)
         for a, eta in enumerate(DEFAULT_ETA_GRID):
             for b, alpha in enumerate(DEFAULT_ALPHA_GRID):
-                point = evaluate_point(net, BETA, eta, alpha, RATES, P_EXO)
+                cal = calibrate(net, CalibrationParams(BETA, eta, alpha))
+                point = evaluate_point(cal, RATES, P_EXO)
                 pc[a, b] = point.cascade_risk_system
                 dr[a, b] = point.avg_debtrank
         results.append((pc, dr))
@@ -103,14 +103,14 @@ def test_criterion_2_brute_force_equivalence():
         for alpha in (0.0, 0.5, 1.0):
             cal = calibrate(net, CalibrationParams(BETA, eta, alpha))
             for seed in range(n):
-                engine = run_cascade(cal, SeedSpec(seed))
+                engine = run_cascade(cal, seed)
                 payouts = naive_payouts(loans, cal.fund_contribution.tolist(), seed)
                 h, defaulted, steps = naive_cascade(
                     n, loans, cal.reserve.tolist(), seed, payouts=payouts
                 )
-                assert engine.final_distress.tolist() == h
-                assert engine.defaulted == defaulted
-                assert engine.steps == steps
+                assert engine.final_distress[0].tolist() == h
+                assert set(np.flatnonzero(engine.defaulted[0]).tolist()) == defaulted
+                assert engine.steps[0] == steps
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     _report("2 (brute-force equivalence, 200 networks)", started)
@@ -276,6 +276,6 @@ def test_monotonicity_runtime_budget(grid_results):
     net = generate_synthetic(SyntheticSpec(n_nodes=180, rng_seed=999))
     for eta in DEFAULT_ETA_GRID:
         for alpha in DEFAULT_ALPHA_GRID:
-            evaluate_point(net, BETA, eta, alpha, RATES, P_EXO)
+            evaluate_point(calibrate(net, CalibrationParams(BETA, eta, alpha)), RATES, P_EXO)
     per_network = time.perf_counter() - started
     assert per_network * 20 < 300.0

@@ -233,6 +233,13 @@ ERROR_CASES = {
         ["risk"], b"# nodes=2 edges=1\n# node a\n# node \xe9\na,\xe9,1.0\n",
         EXIT_INPUT, "{input}:3: not valid UTF-8 text",
     ),
+    "bad-window-start": (
+        ["risk", "--window-start", "2020-13-01"], None,
+        EXIT_BAD_ARGS, "bad window start date '2020-13-01'",
+    ),
+    "empty-network": (
+        ["risk"], "# nodes=0 edges=0\n", EXIT_INPUT, "cascade needs at least 2 nodes",
+    ),
     "roi-zero-balance": (
         ["roi"], "# nodes=3 edges=1\n" + NODES_ABC + "a,b,5.0\n",
         EXIT_BAD_ARGS, "node 'c' has zero balance; ROI undefined",

@@ -153,13 +153,6 @@ def test_debtrank_rejects_zero_lending():
         debtrank_metric(ens, node_strengths(net))
 
 
-def test_debtrank_injectable_values(t3):
-    ens = _t3_ensemble(t3, PARAMS)
-    dr, _ = debtrank_metric(ens, node_strengths(t3), values=np.full(3, 1 / 3))
-    # Seed 1: all three distressed, minus own share.
-    assert dr[0] == pytest.approx(1.0 - 1 / 3, rel=1e-15)
-
-
 def test_monotone_dominance(t3):
     base = _t3_ensemble(t3, PARAMS)
     fund = _t3_ensemble(t3, PARAMS_FUND)

@@ -104,7 +104,7 @@ def test_pipeline_matches_direct_fund_formula(t3):
 
 def test_evaluate_point_roi_aggregates(t3):
     cal = calibrate(t3, CalibrationParams(beta=10.0, eta=0.05, alpha=0.0))
-    point = evaluate_point(t3, 10.0, 0.05, 0.0, RATES, 0.001)
+    point = evaluate_point(cal, RATES, 0.001)
     assert point.default_prob.tolist() == [0.001, 0.002, 0.003]
     unweighted = point.market_roi_unweighted
     weighted = point.market_roi_weighted
