@@ -28,7 +28,6 @@ from .errors import (
 from .experiments import (
     IsoPoint,
     SweepRow,
-    SweepSpec,
     SyntheticSpec,
     evaluate_point,
     generate_synthetic,

@@ -36,46 +36,56 @@ EXIT_INPUT = InputError.exit_code
 EXIT_CALIBRATION = CalibrationError.exit_code
 EXIT_INTERNAL = IbRiskError.exit_code
 
-COMMANDS = ("ingest", "cascade", "risk", "roi", "sweep-eta", "sweep-alpha", "iso", "synth")
-
-_DEFAULTS = {
-    "beta": 10.0,
-    "eta": 0.05,
-    "alpha": 0.0,
-    "p_exo": 0.001,
-    "roi_int": 0.04,
-    "roi_ext": 0.07,
-    "roi_e": 0.03,
-    "roi_f": 0.02,
-    "rng_seed": 0,
-    "out": "out",
+# Every parameter, as name: (default, help). It gives the flag, the
+# config-file key and the cast of both: the default's type, str for a
+# None default, and a switch for False. run.cfg echoes every value that
+# is not None.
+_OPTIONS = {
+    "input": (None, "edge-list/snapshot path, or synth:k=v,... with keys n_nodes, "
+              "density, heterogeneity, core_fraction"),
+    "window_start": (None, "aggregation window start (YYYY-MM-DD)"),
+    "window_end": (None, "aggregation window end (YYYY-MM-DD)"),
+    "beta": (10.0, "balance multiplier: B = beta * max(borrowed, lent)"),
+    "eta": (0.05, "reserve fraction of the balance: E = eta * B"),
+    "alpha": (0.0, "rescue-fund tax rate on the reserve, in [0, 1]"),
+    "p_exo": (0.001, "exogenous default probability of each node"),
+    "roi_int": (roi.RoiRates.roi_int, "return rate of in-network loans"),
+    "roi_ext": (roi.RoiRates.roi_ext, "return rate of external assets"),
+    "roi_e": (roi.RoiRates.roi_e, "return rate of the reserve"),
+    "roi_f": (roi.RoiRates.roi_f, "return rate of the rescue-fund share"),
+    "rng_seed": (0, "generator seed of a synth: input"),
+    "out": ("out", "output directory"),
+    "seed_node": (None, "seed node id for cascade"),
+    "trace": (False, "echoed into run.cfg; no command reads it yet"),
+    "eta_increases": (None, "comma-separated relative eta increases for iso"),
 }
+_CASTS = {key: str if default is None else type(default) for key, (default, _) in _OPTIONS.items()}
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _fmt(value) -> str:
-    """Round-trip decimal formatting for floats; plain str otherwise."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+    """Round-trip decimal formatting for floats (np.float64 too); plain str otherwise."""
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line and exit 2, like every bad argument
+        raise ParameterError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ibrisk",
         description="Interbank cascade-risk simulation with a Pigouvian rescue fund",
     )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--input", help="edge-list/snapshot path or synth:k=v,... spec")
-    parser.add_argument("--config", help="key=value configuration file")
-    parser.add_argument("--window-start", help="aggregation window start (YYYY-MM-DD)")
-    parser.add_argument("--window-end", help="aggregation window end (YYYY-MM-DD)")
-    for key, default in _DEFAULTS.items():  # scalars of the type of their default
-        parser.add_argument("--" + key.replace("_", "-"), type=type(default), dest=key)
-    parser.add_argument("--seed-node", dest="seed_node", help="seed node id for cascade")
-    parser.add_argument("--trace", action="store_true", default=None,
-                        help="emit per-step distress trace CSV")
-    parser.add_argument("--eta-increases", dest="eta_increases",
-                        help="comma-separated relative eta increases for iso")
+    parser.add_argument("command", choices=COMMANDS, help="what to run")
+    parser.add_argument("--config", help="key=value file of the parameters below; flags win")
+    for key, (default, text) in _OPTIONS.items():
+        flag = "--" + key.replace("_", "-")
+        if default is False:
+            parser.add_argument(flag, action="store_true", default=None, help=text)
+        else:
+            parser.add_argument(flag, type=_CASTS[key], help=text)
     return parser
 
 
@@ -87,9 +97,9 @@ def _read_config_file(path: str) -> dict[str, str]:
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
-                if "=" not in line:
+                key, eq, value = line.partition("=")
+                if not eq:
                     raise InputError(f"{path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
                 values[key.strip()] = value.strip()
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
@@ -98,30 +108,19 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge defaults, config-file values, and flags (flags win)."""
-    config = dict(_DEFAULTS)
-    config.update(
-        {k: None for k in ("input", "window_start", "window_end", "seed_node", "eta_increases")}
-    )
-    config["trace"] = False
+    config = {key: default for key, (default, _) in _OPTIONS.items()}
     if args.config:
         for key, text in _read_config_file(args.config).items():
             norm = key.replace("-", "_")
             if norm not in config:
                 raise ParameterError(f"{args.config}: unknown config key {key!r}")
-            cast = type(_DEFAULTS.get(norm))
-            if cast in (float, int):
-                try:
-                    config[norm] = cast(text)
-                except ValueError:
-                    raise ParameterError(f"config key {key}: bad {cast.__name__} {text!r}") from None
-            elif norm == "trace":
-                config[norm] = text.lower() in ("1", "true", "yes")
-            else:
-                config[norm] = text
-    for key in list(config):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            config[key] = flag
+            kind = _CASTS[norm]
+            try:
+                config[norm] = _BOOLS[text.lower()] if kind is bool else kind(text)
+            except (KeyError, ValueError):
+                raise ParameterError(f"config key {key}: bad {kind.__name__} {text!r}") from None
+    config.update((key, flag) for key, flag in vars(args).items()
+                  if key in config and flag is not None)
     return config
 
 
@@ -134,15 +133,14 @@ def _parse_number(cast, text: str, what: str):
 
 def _synthetic(text: str, rng_seed: int) -> FinancialNetwork:
     fields = {}
-    body = text[len("synth:"):]
-    if body:
-        for chunk in body.split(","):
-            if "=" not in chunk:
-                raise ParameterError(f"bad synth spec fragment {chunk!r}")
-            key, _, value = chunk.partition("=")
-            fields[key.strip()] = value.strip()
-    kwargs = {"rng_seed": rng_seed}
+    for chunk in text[len("synth:"):].split(",") if text != "synth:" else ():
+        key, eq, value = chunk.partition("=")
+        if not eq:
+            raise ParameterError(f"bad synth spec fragment {chunk!r}")
+        fields[key.strip()] = value.strip()
     casts = {f.name: type(f.default) for f in dataclasses.fields(experiments.SyntheticSpec)}
+    del casts["rng_seed"]  # the seed comes from --rng-seed alone
+    kwargs = {"rng_seed": rng_seed}
     for key, value in fields.items():
         if key not in casts:
             raise ParameterError(f"unknown synth spec key {key!r}")
@@ -150,12 +148,13 @@ def _synthetic(text: str, rng_seed: int) -> FinancialNetwork:
     return experiments.generate_synthetic(experiments.SyntheticSpec(**kwargs))
 
 
-def load_network(config: dict) -> FinancialNetwork:
-    source = config.get("input")
+def load_network(config: dict, default: str | None = None) -> FinancialNetwork:
+    """The network of ``--input``, or of ``default`` when there is none."""
+    source = config["input"] or default
     if not source:
         raise ParameterError("--input is required for this command")
     if source.startswith("synth:"):
-        return _synthetic(source, int(config["rng_seed"]))
+        return _synthetic(source, config["rng_seed"])
     path = Path(source)
     if not path.exists():
         raise InputError(f"input file not found: {path}")
@@ -170,17 +169,11 @@ def load_network(config: dict) -> FinancialNetwork:
     return network.aggregate_window(trades, start, end)
 
 
-def _write_run_cfg(config: dict, out_dir: Path) -> None:
-    with open(out_dir / "run.cfg", "w", encoding="utf-8") as handle:
-        handle.writelines(f"{key}={_fmt(config[key])}\n" for key in sorted(config)
-                          if config[key] is not None)
-
-
 def _field_names(cls) -> list[str]:
     return [f.name for f in dataclasses.fields(cls)]
 
 
-def _write_csv(path: Path, header: list[str], rows: list) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
@@ -195,69 +188,48 @@ def _params(config: dict) -> CalibrationParams:
     return CalibrationParams(beta=config["beta"], eta=config["eta"], alpha=config["alpha"])
 
 
-def cmd_ingest(config: dict, out_dir: Path) -> str:
-    net = load_network(config)
+def cmd_ingest(config: dict, net: FinancialNetwork, out_dir: Path) -> str:
     for warning in network.validate_network(net):
         logger.warning(warning)
     network.write_snapshot(net, out_dir / "network.csv")
     return f"nodes={net.n_nodes} edges={net.n_edges}"
 
 
-def cmd_cascade(config: dict, out_dir: Path) -> str:
-    net = load_network(config)
+def cmd_cascade(config: dict, net: FinancialNetwork, out_dir: Path) -> str:
     if config["seed_node"] is None:
         raise ParameterError("--seed-node is required for cascade")
     seed = net.index_of(str(config["seed_node"]))
-    cal = calibrate(net, _params(config))
-    ens = run_cascade(cal, seed)
-    rows = []
-    for step, snapshot in enumerate(ens.trace):
-        for idx, value in enumerate(snapshot[0]):
-            rows.append([step, net.nodes[idx], float(value)])
+    ens = run_cascade(calibrate(net, _params(config)), seed)
+    rows = ((step, node, h) for step, snapshot in enumerate(ens.trace)
+            for node, h in zip(net.nodes, snapshot[0].tolist()))
     _write_csv(out_dir / "trace.csv", ["step", "node", "h"], rows)
     return f"seed={net.nodes[seed]} defaults={int(ens.defaulted[0].sum())} steps={ens.steps[0]}"
 
 
-def cmd_risk(config: dict, out_dir: Path) -> str:
-    check_p_exo(config["p_exo"])  # before the input is loaded
-    net = load_network(config)
+def cmd_risk(config: dict, net: FinancialNetwork, out_dir: Path) -> str:
     cal = calibrate(net, _params(config))
     point = experiments.evaluate_point(cal, _rates(config), config["p_exo"])
-    delta, p = point.delta, point.default_prob
+    delta, p, defaults = point.delta, point.default_prob, int(np.sum(point.delta))
     rows = [
-        [net.nodes[i], int(delta[i]), float(point.cascade_risk_nodes[i]), float(p[i]),
-         float(point.debtrank_nodes[i])]
-        for i in range(net.n_nodes)
+        *zip(net.nodes, delta.tolist(), point.cascade_risk_nodes.tolist(), p.tolist(),
+             point.debtrank_nodes.tolist()),
+        ("SYSTEM", defaults, point.cascade_risk_system, float(np.mean(p)), point.avg_debtrank),
     ]
-    rows.append(["SYSTEM", int(np.sum(delta)), point.cascade_risk_system, float(np.mean(p)),
-                 point.avg_debtrank])
     _write_csv(
-        out_dir / "risk.csv",
-        ["node", "delta", "cascade_risk", "default_prob", "debtrank"],
-        rows,
+        out_dir / "risk.csv", ["node", "delta", "cascade_risk", "default_prob", "debtrank"], rows
     )
-    return (
-        f"p^C={_fmt(point.cascade_risk_system)} N={net.n_nodes} "
-        f"defaults_total={int(np.sum(delta))}"
-    )
+    return f"p^C={_fmt(point.cascade_risk_system)} N={net.n_nodes} defaults_total={defaults}"
 
 
-def cmd_roi(config: dict, out_dir: Path) -> str:
-    check_p_exo(config["p_exo"])
-    net = load_network(config)
+def cmd_roi(config: dict, net: FinancialNetwork, out_dir: Path) -> str:
     cal = calibrate(net, _params(config))
     # ROI is undefined at a zero balance: fail before the seed ensemble runs.
     roi.require_positive_balance(net.nodes, cal.balance)
     point = experiments.evaluate_point(cal, _rates(config), config["p_exo"])
-    rows = [
-        [net.nodes[i], float(point.roi_nominal[i]), float(point.roi_risk_adjusted[i]),
-         float(point.default_prob[i])]
-        for i in range(net.n_nodes)
-    ]
+    rows = zip(net.nodes, point.roi_nominal.tolist(), point.roi_risk_adjusted.tolist(),
+               point.default_prob.tolist())
     _write_csv(
-        out_dir / "roi.csv",
-        ["node", "roi_nominal", "roi_risk_adjusted", "default_prob"],
-        rows,
+        out_dir / "roi.csv", ["node", "roi_nominal", "roi_risk_adjusted", "default_prob"], rows
     )
     return (
         f"p^C={_fmt(point.cascade_risk_system)} market_roi_ra={_fmt(point.market_roi_weighted)} "
@@ -265,47 +237,27 @@ def cmd_roi(config: dict, out_dir: Path) -> str:
     )
 
 
-def _cmd_sweep(config: dict, out_dir: Path, varying: str) -> str:
-    check_p_exo(config["p_exo"])
-    net = load_network(config)
+def _cmd_sweep(config: dict, net: FinancialNetwork, out_dir: Path, varying: str) -> str:
     grid = experiments.DEFAULT_ETA_GRID if varying == "eta" else experiments.DEFAULT_ALPHA_GRID
-    fixed = config["alpha"] if varying == "eta" else config["eta"]
-    spec = experiments.SweepSpec(
-        varying=varying,
-        grid=grid,
-        fixed=fixed,
-        beta=config["beta"],
-        rates=_rates(config),
-        p_exo=config["p_exo"],
-    )
-    rows = [dataclasses.astuple(row) for row in experiments.sweep(net, spec)]
-    _write_csv(out_dir / "sweep.csv", _field_names(experiments.SweepRow), rows)
+    rows = experiments.sweep(net, _params(config), varying, grid, _rates(config), config["p_exo"])
+    _write_csv(out_dir / "sweep.csv", _field_names(experiments.SweepRow),
+               map(dataclasses.astuple, rows))
     return f"sweep={varying} points={len(rows)}"
 
 
-def cmd_iso(config: dict, out_dir: Path) -> str:
-    net = load_network(config)
+def cmd_iso(config: dict, net: FinancialNetwork, out_dir: Path) -> str:
+    grid = experiments.DEFAULT_ETA_INCREASE_GRID
     if config["eta_increases"]:
         grid = tuple(
-            _parse_number(float, x, "eta increase")
-            for x in str(config["eta_increases"]).split(",")
+            _parse_number(float, x, "eta increase") for x in config["eta_increases"].split(",")
         )
-    else:
-        grid = experiments.DEFAULT_ETA_INCREASE_GRID
-    points = experiments.iso_curve(
-        net, eta0=config["eta"], eta_increase_grid=grid, beta=config["beta"]
-    )
-    rows = [dataclasses.astuple(p)[:-1] for p in points]  # all fields but saturated
+    points = experiments.iso_curve(net, config["eta"], grid, config["beta"])
+    rows = (dataclasses.astuple(p)[:-1] for p in points)  # all fields but saturated
     _write_csv(out_dir / "iso.csv", _field_names(experiments.IsoPoint)[:-1], rows)
-    saturated = sum(1 for p in points if p.saturated)
-    return f"iso points={len(points)} saturated={saturated}"
+    return f"iso points={len(points)} saturated={sum(p.saturated for p in points)}"
 
 
-def cmd_synth(config: dict, out_dir: Path) -> str:
-    source = config.get("input") or "synth:"
-    if not source.startswith("synth:"):
-        raise ParameterError("synth expects --input synth:k=v,... (or no input)")
-    net = _synthetic(source, int(config["rng_seed"]))
+def cmd_synth(config: dict, net: FinancialNetwork, out_dir: Path) -> str:
     network.write_snapshot(net, out_dir / "network.csv")
     return f"nodes={net.n_nodes} edges={net.n_edges} rng_seed={config['rng_seed']}"
 
@@ -315,11 +267,12 @@ _HANDLERS = {
     "cascade": cmd_cascade,
     "risk": cmd_risk,
     "roi": cmd_roi,
-    "sweep-eta": lambda config, out: _cmd_sweep(config, out, "eta"),
-    "sweep-alpha": lambda config, out: _cmd_sweep(config, out, "alpha"),
+    "sweep-eta": lambda config, net, out: _cmd_sweep(config, net, out, "eta"),
+    "sweep-alpha": lambda config, net, out: _cmd_sweep(config, net, out, "alpha"),
     "iso": cmd_iso,
     "synth": cmd_synth,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def execute_scenario(config: dict, command: str) -> str:
@@ -329,16 +282,22 @@ def execute_scenario(config: dict, command: str) -> str:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot create output directory {out_dir}: {exc}") from exc
-    summary = _HANDLERS[command](config, out_dir)
-    _write_run_cfg(config, out_dir)
+    if command in ("risk", "roi", "sweep-eta", "sweep-alpha"):
+        check_p_exo(config["p_exo"])  # before the input is loaded
+    default = "synth:" if command == "synth" else None
+    if default and not (config["input"] or default).startswith(default):
+        raise ParameterError("synth expects --input synth:k=v,... (or no input)")
+    summary = _HANDLERS[command](config, load_network(config, default), out_dir)
+    with open(out_dir / "run.cfg", "w", encoding="utf-8") as handle:
+        handle.writelines(f"{key}={_fmt(config[key])}\n" for key in sorted(config)
+                          if config[key] is not None)
     return summary
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = resolve_config(args)
         summary = execute_scenario(config, args.command)
     except IbRiskError as exc:

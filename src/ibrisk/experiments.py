@@ -1,14 +1,13 @@
 """Parameter sweeps, iso-curve searches, and synthetic test networks."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .calibration import CalibratedNetwork, CalibrationParams, calibrate
 from .contagion import run_ensemble
-from .errors import InputError, ParameterError
+from .errors import ParameterError
 from .network import FinancialNetwork
 from .risk import (
     cascade_risk,
@@ -23,26 +22,6 @@ from .roi import DEFAULT_RATES, RoiRates, nominal_roi, risk_adjusted_roi
 DEFAULT_ETA_GRID = (0.0, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05)
 DEFAULT_ALPHA_GRID = (0.0, 0.001, 0.01, 0.05, 0.1, 0.5, 1.0)
 DEFAULT_ETA_INCREASE_GRID = (0.0, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-dimensional sweep over eta or alpha, the other held fixed."""
-
-    varying: str  # "eta" or "alpha"
-    grid: tuple[float, ...]
-    fixed: float
-    beta: float = 10.0
-    rates: RoiRates = DEFAULT_RATES
-    p_exo: float = 0.001
-
-    def __post_init__(self):
-        if self.varying not in ("eta", "alpha"):
-            raise ParameterError(f"varying must be 'eta' or 'alpha', got {self.varying!r}")
-        if len(self.grid) == 0:
-            raise ParameterError("sweep grid is empty")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ParameterError("sweep grid must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -111,24 +90,24 @@ def evaluate_point(
     )
 
 
-def sweep(net: FinancialNetwork, spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the pipeline along the grid; rows come back in grid order."""
+def sweep(
+    net: FinancialNetwork, params: CalibrationParams, varying: str, grid: tuple[float, ...],
+    rates: RoiRates = DEFAULT_RATES, p_exo: float = 0.001,
+) -> list[SweepRow]:
+    """Evaluate the pipeline at ``params`` with its ``varying`` field,
+    "eta" or "alpha", set to each grid value; rows come back in grid order."""
+    if varying not in ("eta", "alpha"):
+        raise ParameterError(f"varying must be 'eta' or 'alpha', got {varying!r}")
+    if len(grid) == 0:
+        raise ParameterError("sweep grid is empty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ParameterError("sweep grid must be strictly increasing")
     rows = []
-    for value in spec.grid:
-        eta = value if spec.varying == "eta" else spec.fixed
-        alpha = value if spec.varying == "alpha" else spec.fixed
-        cal = calibrate(net, CalibrationParams(spec.beta, eta, alpha))
-        point = evaluate_point(cal, spec.rates, spec.p_exo)
-        rows.append(
-            SweepRow(
-                param_name=spec.varying,
-                param_value=value,
-                cascade_risk=point.cascade_risk_system,
-                avg_debtrank=point.avg_debtrank,
-                market_roi_ra_weighted=point.market_roi_weighted,
-                market_roi_ra_unweighted=point.market_roi_unweighted,
-            )
-        )
+    for value in grid:
+        cal = calibrate(net, replace(params, **{varying: value}))
+        point = evaluate_point(cal, rates, p_exo)
+        rows.append(SweepRow(varying, value, point.cascade_risk_system, point.avg_debtrank,
+                             point.market_roi_weighted, point.market_roi_unweighted))
     return rows
 
 

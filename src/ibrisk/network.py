@@ -166,15 +166,16 @@ _PADDING[0x80:] = True
 _NO_ROWS = np.empty(0, dtype=np.int64)
 
 
-def _codes(table: dict, keys: list, new=None) -> np.ndarray:
-    """The values of ``keys`` in ``table``, adding a missing key as ``new(key)``."""
+def _codes(table: dict, keys: list, new) -> np.ndarray:
+    """The values of ``keys`` in ``table``, adding each missing key in turn,
+    in the order of first appearance, as ``new(key)``."""
     try:
         return np.fromiter(map(table.__getitem__, keys), dtype=np.int64, count=len(keys))
     except KeyError:
-        if new is None:
-            raise
-        table.update({key: new(key) for key in dict.fromkeys(keys) if key not in table})
-        return _codes(table, keys)
+        for key in dict.fromkeys(keys):
+            if key not in table:
+                table[key] = new(key)
+        return _codes(table, keys, new)
 
 
 def _plain_chunk(chunk: list[str], index: dict[str, int], ordinal: Optional[dict] = None):
@@ -186,7 +187,9 @@ def _plain_chunk(chunk: list[str], index: dict[str, int], ordinal: Optional[dict
     and no ``_PADDING`` byte next to a comma or a line edge, so that
     ``str.strip`` changes no field. Returns the ``#`` lines as (offset,
     stripped line) and the columns, once the fields pass every check of
-    :func:`_by_line`; only then do new ids join ``index``.
+    :func:`_by_line`. New ids join ``index`` before the field checks: a
+    chunk that fails one also fails in :func:`_by_line`, which raises, or
+    in a snapshot's first read, which the second read redoes afresh.
     """
     n_fields = 3 if ordinal is None else 4
     text = "#".join(chunk)  # the '#' after each row's newline shows where the row ends
@@ -217,12 +220,7 @@ def _plain_chunk(chunk: list[str], index: dict[str, int], ordinal: Optional[dict
     fields = text[:-1].replace("\n#", ",").split(",") if n else []
     ids = [""] * (2 * n)
     ids[0::2], ids[1::2] = fields[0::n_fields], fields[1::n_fields]
-    local = {}
-    try:
-        codes = _codes(index, ids)
-    except KeyError:  # new ids: chunk-local codes until the chunk is accepted
-        local = dict(zip(dict.fromkeys(ids), itertools.count()))
-        codes = _codes(local, ids)
+    codes = _codes(index, ids, lambda name: len(index))
     day = None
     try:
         amount = np.fromiter(map(float, fields[2::n_fields]), dtype=np.float64, count=n)
@@ -230,14 +228,10 @@ def _plain_chunk(chunk: list[str], index: dict[str, int], ordinal: Optional[dict
             day = _codes(ordinal, fields[3::4], lambda iso: dt.date.fromisoformat(iso).toordinal())
     except ValueError:
         return None
-    if "" in local or (codes[0::2] == codes[1::2]).any() or not (
+    if "" in index or (codes[0::2] == codes[1::2]).any() or not (
         (amount > 0) & (amount < np.inf)
     ).all():
         return None
-    if local:
-        for name in local:
-            index.setdefault(name, len(index))
-        codes = _codes(index, local)[codes]
     return comments, codes[0::2], codes[1::2], amount, day
 
 

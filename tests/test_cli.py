@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import pytest
 
 from ibrisk import cli, experiments
@@ -156,9 +154,9 @@ NODES_ABC = "# node a\n# node b\n# node c\n"
 # (command and flags, input, exit code, expected stderr). The input is
 # a file body (text, or bytes that need not be UTF-8), an inline synth:
 # spec, or None for the t3 edge list; "{input}" in the message stands
-# for the input path, and
-# "{config}" in a flag or the message for a config file holding a
-# misspelt key.
+# for the input path, and "{config}" in a flag or the message for a
+# config file holding the case's line of CONFIG_LINES.
+CONFIG_LINES = {"unknown-config-key": "etta=0.1\n", "bad-config-bool": "trace=treu\n"}
 ERROR_CASES = {
     "nan-amount": (
         ["risk"], "# nodes=3 edges=3\n" + NODES_ABC + "a,b,nan\nb,c,-5.0\nc,c,1.0\n",
@@ -225,6 +223,24 @@ ERROR_CASES = {
         ["risk", "--config", "{config}"], None,
         EXIT_BAD_ARGS, "{config}: unknown config key 'etta'",
     ),
+    "bad-config-bool": (
+        ["risk", "--config", "{config}"], None,
+        EXIT_BAD_ARGS, "config key trace: bad bool 'treu'",
+    ),
+    "bad-float-flag": (
+        ["risk", "--eta", "abc"], None,
+        EXIT_BAD_ARGS, "error: argument --eta: invalid float value: 'abc'",
+    ),
+    "unknown-flag": (
+        ["risk", "--nope", 1], None, EXIT_BAD_ARGS, "error: unrecognized arguments: --nope 1",
+    ),
+    "unknown-command": (
+        ["bogus"], None, EXIT_BAD_ARGS, "error: argument command: invalid choice: 'bogus'",
+    ),
+    "synth-rng-seed-key": (
+        ["synth"], "synth:n_nodes=8,rng_seed=5",
+        EXIT_BAD_ARGS, "unknown synth spec key 'rng_seed'",
+    ),
     "non-utf8-trades": (
         ["ingest"], b"2,1,8.0,2000-04-03\n3,2,6.0,2000-04-03 \xff\n",
         EXIT_INPUT, "{input}:2: not valid UTF-8 text",
@@ -259,14 +275,30 @@ def test_error_exit_codes(case, t3_file, tmp_path, capsys):
     elif body is not None:
         source = tmp_path / "snapshot.csv"
         source.write_text(body)
-    config = tmp_path / "typo.conf"
-    config.write_text("etta=0.1\n")
+    config = tmp_path / "run.conf"
+    config.write_text(CONFIG_LINES.get(case, ""))
     flags = [str(flag).format(config=config) for flag in command[1:]]
     code = run_cli([command[0], "--input", source, *flags, "--out", tmp_path / "o"])
     err = capsys.readouterr().err
     assert code == expected_code
     assert err.count("\n") == 1, err  # one line, no traceback
     assert message.format(input=source, config=config) in err
+
+
+def test_every_flag_has_help():
+    actions = [action for action in cli.build_parser()._actions if action.dest != "help"]
+    assert len(actions) == 18  # the command and 17 flags
+    assert all(action.help for action in actions)
+
+
+def test_config_bools(t3_file, tmp_path):
+    for text, value in [("1", True), ("TRUE", True), ("yes", True), ("0", False),
+                        ("False", False), ("NO", False)]:
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"trace={text}\n")
+        out = tmp_path / text
+        assert run_cli(["ingest", "--input", t3_file, "--config", cfg, "--out", out]) == EXIT_OK
+        assert f"trace={value}\n" in (out / "run.cfg").read_text()
 
 
 def test_roi_zero_balance_fails_before_ensemble(tmp_path, capsys, monkeypatch):

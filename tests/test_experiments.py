@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ibrisk import (
+    CalibrationParams,
     FinancialNetwork,
     ParameterError,
-    SweepSpec,
     SyntheticSpec,
     generate_synthetic,
     iso_curve,
@@ -17,37 +17,35 @@ from loan_dicts import loans_of
 
 
 def test_sweep_alpha_t3(t3):
-    spec = SweepSpec(varying="alpha", grid=(0.0, 1.0), fixed=0.05, beta=10.0)
-    rows = sweep(t3, spec)
+    rows = sweep(t3, CalibrationParams(10.0, 0.05, 0.0), "alpha", (0.0, 1.0))
     assert [row.cascade_risk for row in rows] == [0.5, 0.0]
     assert [row.param_value for row in rows] == [0.0, 1.0]
 
 
 def test_sweep_eta_monotone(t3):
-    spec = SweepSpec(varying="eta", grid=DEFAULT_ETA_GRID, fixed=0.0, beta=10.0)
-    risks = [row.cascade_risk for row in sweep(t3, spec)]
+    rows = sweep(t3, CalibrationParams(10.0, 0.0, 0.0), "eta", DEFAULT_ETA_GRID)
+    risks = [row.cascade_risk for row in rows]
     assert all(b <= a for a, b in zip(risks, risks[1:]))
 
 
 def test_sweep_edgeless_all_zero():
     net = FinancialNetwork(("a", "b", "c"))
-    spec = SweepSpec(varying="eta", grid=(0.0, 0.01, 0.05), fixed=0.0)
-    rows = sweep(net, spec)
+    rows = sweep(net, CalibrationParams(10.0, 0.0, 0.0), "eta", (0.0, 0.01, 0.05))
     assert all(row.cascade_risk == 0.0 for row in rows)
     assert all(row.avg_debtrank == 0.0 for row in rows)
 
 
 def test_sweep_rejects_bad_grid(t3):
+    params = CalibrationParams(10.0, 0.0, 0.0)
     with pytest.raises(ParameterError):
-        SweepSpec(varying="eta", grid=(0.01, 0.01), fixed=0.0)
+        sweep(t3, params, "eta", (0.01, 0.01))
     with pytest.raises(ParameterError):
-        SweepSpec(varying="rho", grid=(0.01,), fixed=0.0)
+        sweep(t3, params, "rho", (0.01,))
 
 
 def test_sweep_dr_tracks_cascade_risk(t3):
     net = generate_synthetic(SyntheticSpec(n_nodes=60, rng_seed=5))
-    spec = SweepSpec(varying="alpha", grid=DEFAULT_ALPHA_GRID, fixed=0.005)
-    rows = sweep(net, spec)
+    rows = sweep(net, CalibrationParams(10.0, 0.005, 0.0), "alpha", DEFAULT_ALPHA_GRID)
     pc = np.array([row.cascade_risk for row in rows])
     dr = np.array([row.avg_debtrank for row in rows])
     # Both nonincreasing, hence nonnegative rank correlation.

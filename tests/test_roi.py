@@ -6,7 +6,6 @@ from ibrisk import (
     ParameterError,
     RoiRates,
     calibrate,
-    cascade_risk,
     conditional_default_matrix,
     default_probabilities,
     evaluate_point,
