@@ -66,10 +66,6 @@ class PropagationWeights:
     loss: np.ndarray
     weight: np.ndarray
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.src)
-
 
 def edge_weights(loss: np.ndarray, reserve: np.ndarray) -> np.ndarray:
     """Weight of each propagation edge, elementwise loss / reserve.

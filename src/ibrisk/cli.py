@@ -89,20 +89,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _config_lines(lines, source: str) -> dict[str, str]:
     values = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, eq, value = line.partition("=")
-                if not eq:
-                    raise InputError(f"{path}:{lineno}: expected key=value")
-                values[key.strip()] = value.strip()
-    except OSError as exc:
-        raise InputError(f"cannot read config {path}: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:  # lone surrogates: undecodable bytes of the file
+            raise InputError(f"{source}:{lineno}: not valid UTF-8 text") from None
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise InputError(f"{source}:{lineno}: expected key=value")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -110,7 +110,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     """Merge defaults, config-file values, and flags (flags win)."""
     config = {key: default for key, (default, _) in _OPTIONS.items()}
     if args.config:
-        for key, text in _read_config_file(args.config).items():
+        for key, text in network._parse_file(args.config, _config_lines).items():
             norm = key.replace("-", "_")
             if norm not in config:
                 raise ParameterError(f"{args.config}: unknown config key {key!r}")
@@ -153,6 +153,11 @@ def load_network(config: dict, default: str | None = None) -> FinancialNetwork:
     source = config["input"] or default
     if not source:
         raise ParameterError("--input is required for this command")
+    start, end = (  # checked for every input, applied to edge lists alone
+        _parse_number(dt.date.fromisoformat, config[key], key.replace("_", " ") + " date")
+        if config[key] else None
+        for key in ("window_start", "window_end")
+    )
     if source.startswith("synth:"):
         return _synthetic(source, config["rng_seed"])
     path = Path(source)
@@ -160,13 +165,7 @@ def load_network(config: dict, default: str | None = None) -> FinancialNetwork:
         raise InputError(f"input file not found: {path}")
     if network.is_snapshot_file(path):
         return network.read_snapshot(path)
-    trades = network.ingest_file(path)
-    start, end = (
-        _parse_number(dt.date.fromisoformat, config[key], key.replace("_", " ") + " date")
-        if config[key] else None
-        for key in ("window_start", "window_end")
-    )
-    return network.aggregate_window(trades, start, end)
+    return network.aggregate_window(network.ingest_file(path), start, end)
 
 
 def _field_names(cls) -> list[str]:

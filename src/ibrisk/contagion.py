@@ -59,9 +59,7 @@ class CascadeEnsemble:
 
 def _requested(weights: PropagationWeights, n: int) -> np.ndarray:
     """Each node's lenders' total exposure to it, summed in lender order."""
-    total = np.zeros(n)
-    np.add.at(total, weights.src, weights.loss)
-    return total
+    return np.bincount(weights.src, weights=weights.loss, minlength=n)
 
 
 def _fund_ratios(fund: np.ndarray, requested: np.ndarray, seeds: np.ndarray) -> np.ndarray:

@@ -7,7 +7,6 @@ Loan amounts A[i, j] mean "node i lent this much to node j".
 from __future__ import annotations
 
 import datetime as dt
-import functools
 import itertools
 import logging
 from dataclasses import dataclass
@@ -149,14 +148,6 @@ def _first(mask: np.ndarray) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
-def _chunks(lines: Iterable[str]):
-    """Yield (number of the first line, list of at most ``PARSE_CHUNK`` lines)."""
-    lines, lineno = iter(lines), 1
-    while chunk := list(itertools.islice(lines, PARSE_CHUNK)):
-        yield lineno, chunk
-        lineno += len(chunk)
-
-
 # A plain row has none of these bytes next to a comma or a line edge: the
 # ASCII whitespace that str.strip removes, and any byte of a non-ASCII
 # character, as some of those are whitespace too (U+00A0, U+3000).
@@ -178,18 +169,20 @@ def _codes(table: dict, keys: list, new) -> np.ndarray:
         return _codes(table, keys, new)
 
 
-def _plain_chunk(chunk: list[str], index: dict[str, int], ordinal: Optional[dict] = None):
+def _plain_chunk(chunk: list[str], lineno: int, index: dict[str, int], note,
+                 ordinal: Optional[dict] = None):
     """Parse a chunk at once, or return None to leave it to :func:`_by_line`.
 
     Rows are trades given the ``ordinal`` cache of date texts, else loans.
     Each line must be UTF-8 and a whole-line ``#`` comment or a plain row:
     fields joined by commas and ended by its only newline, with no ``#``
     and no ``_PADDING`` byte next to a comma or a line edge, so that
-    ``str.strip`` changes no field. Returns the ``#`` lines as (offset,
-    stripped line) and the columns, once the fields pass every check of
-    :func:`_by_line`. New ids join ``index`` before the field checks: a
-    chunk that fails one also fails in :func:`_by_line`, which raises, or
-    in a snapshot's first read, which the second read redoes afresh.
+    ``str.strip`` changes no field. Once the fields pass every check of
+    :func:`_by_line`, calls ``note`` for each ``#`` line (the chunk starts
+    at line ``lineno``) and returns the columns of :func:`_by_line`. New
+    ids join ``index`` before the field checks, which is safe for trades
+    and loans alike: every field check that fails is also an error of
+    :func:`_by_line`, which then raises on this chunk.
     """
     n_fields = 3 if ordinal is None else 4
     text = "#".join(chunk)  # the '#' after each row's newline shows where the row ends
@@ -221,7 +214,7 @@ def _plain_chunk(chunk: list[str], index: dict[str, int], ordinal: Optional[dict
     ids = [""] * (2 * n)
     ids[0::2], ids[1::2] = fields[0::n_fields], fields[1::n_fields]
     codes = _codes(index, ids, lambda name: len(index))
-    day = None
+    day = np.zeros(n, dtype=np.int64)
     try:
         amount = np.fromiter(map(float, fields[2::n_fields]), dtype=np.float64, count=n)
         if ordinal is not None:
@@ -232,7 +225,9 @@ def _plain_chunk(chunk: list[str], index: dict[str, int], ordinal: Optional[dict
         (amount > 0) & (amount < np.inf)
     ).all():
         return None
-    return comments, codes[0::2], codes[1::2], amount, day
+    for k, line in comments:
+        note(lineno + k, line)
+    return codes[0::2], codes[1::2], amount, day
 
 
 def _by_line(lines: Iterable[str], lineno: int, source: str, index: dict[str, int], note,
@@ -241,10 +236,10 @@ def _by_line(lines: Iterable[str], lineno: int, source: str, index: dict[str, in
     errors; raise InputError naming the first line that breaks one.
 
     Rows are trades (four fields, the last a date) given ``ordinal``, else
-    loans (three fields) whose pair may not be in ``seen``. Calls
-    ``note(line number, stripped line)`` for each blank or ``#`` line.
-    Returns what :func:`_plain_chunk` returns, with None for the ``#``
-    lines, and day ordinals of None for loans.
+    loans (three fields), whose pair may not be in ``seen`` when that is
+    given. Calls ``note(line number, stripped line)`` for each blank or
+    ``#`` line. Returns the lender and borrower codes into ``index``, the
+    amounts and the day ordinals, which are zeros for loans.
     """
     n_fields, fields_error, amount_error = (
         (3, "expected 3 fields", "unparseable amount") if ordinal is None
@@ -278,22 +273,41 @@ def _by_line(lines: Iterable[str], lineno: int, source: str, index: dict[str, in
             raise fault(f"amount must be strictly positive, got {text}")
         if lender == borrower:
             raise fault(f"self-loop on node {lender!r} rejected")
+        day = 0
         if ordinal is not None:
             try:
                 day = dt.date.fromisoformat(fields[3]).toordinal()
             except ValueError:
                 raise fault(f"unparseable date {fields[3]!r}") from None
-        elif (lender, borrower) in seen:
-            raise fault(f"duplicate loan {lender!r}->{borrower!r}")
-        else:
+        elif seen is not None:
+            if (lender, borrower) in seen:
+                raise fault(f"duplicate loan {lender!r}->{borrower!r}")
             seen.add((lender, borrower))
-            day = 0
         code = index.setdefault(lender, len(index))
         rows.append((code, index.setdefault(borrower, len(index)), amount, day))
     # Codes and day ordinals are far below 2**53, so float64 holds them exactly.
     lender, borrower, amount, day = np.array(rows, dtype=np.float64).reshape(-1, 4).T
-    day = None if ordinal is None else day.astype(np.int64)
-    return None, lender.astype(np.int64), borrower.astype(np.int64), amount, day
+    return lender.astype(np.int64), borrower.astype(np.int64), amount, day.astype(np.int64)
+
+
+def _columns(lines: Iterable[str], source: str, note, ordinal: Optional[dict] = None,
+             seen: Optional[set] = None):
+    """Parse ``lines`` ``PARSE_CHUNK`` at a time, each chunk as columns by
+    :func:`_plain_chunk` unless ``seen`` is given, else one line at a time
+    by :func:`_by_line`. Returns the ids in first-appearance order and the
+    lender, borrower, amount and day columns of every row, read-only.
+    """
+    index: dict[str, int] = {}
+    columns = [(_NO_ROWS, _NO_ROWS, np.empty(0), _NO_ROWS)]
+    lines, lineno = iter(lines), 1
+    while chunk := list(itertools.islice(lines, PARSE_CHUNK)):
+        parsed = None if seen is not None else _plain_chunk(chunk, lineno, index, note, ordinal)
+        columns.append(parsed or _by_line(chunk, lineno, source, index, note, ordinal, seen))
+        lineno += len(chunk)
+    arrays = [np.concatenate(column) for column in zip(*columns)]
+    for array in arrays:
+        array.flags.writeable = False
+    return tuple(index), *arrays
 
 
 def ingest_transactions(lines: Iterable[str], source_name: str = "<stream>") -> Trades:
@@ -302,33 +316,23 @@ def ingest_transactions(lines: Iterable[str], source_name: str = "<stream>") -> 
     Format per line: ``lender_id,borrower_id,amount,YYYY-MM-DD``.
     Comment lines (leading ``#``) are ignored; blank lines are skipped
     with a warning. Any malformed line aborts with an error naming the
-    line number. Lines are parsed ``PARSE_CHUNK`` at a time, as columns
-    by :func:`_plain_chunk` or else one at a time by :func:`_by_line`.
+    line number. Lines are parsed by :func:`_columns`.
     """
-    index: dict[str, int] = {}
-    ordinal: dict[str, int] = {}
 
     def note(lineno: int, line: str) -> None:
         if not line:
             logger.warning("%s:%d: blank line skipped", source_name, lineno)
 
-    columns = [(_NO_ROWS, _NO_ROWS, np.empty(0), _NO_ROWS)]
-    for lineno, chunk in _chunks(lines):
-        parsed = _plain_chunk(chunk, index, ordinal)
-        columns.append((parsed or _by_line(chunk, lineno, source_name, index, note, ordinal))[1:])
-    arrays = [np.concatenate(column) for column in zip(*columns)]
-    for array in arrays:
-        array.flags.writeable = False
-    trades = Trades(tuple(index), *arrays)
+    trades = Trades(*_columns(lines, source_name, note, ordinal={}))
     logger.info("%s: ingested %d records", source_name, len(trades))
     return trades
 
 
 def _parse_file(path, parse):
-    """Run ``parse(lines, source)`` over a UTF-8 text file.
+    """Run ``parse(handle, source)`` over a UTF-8 text file.
 
     Bytes that do not decode are kept as lone surrogates, which the
-    parser rejects with their line number.
+    parser rejects with their line number; ``OSError`` becomes InputError.
     """
     try:
         with open(path, encoding="utf-8", errors="surrogateescape") as handle:
@@ -369,8 +373,7 @@ def aggregate_window(
     position[codes] = np.arange(codes.size)
     n = codes.size
     pairs, slot = np.unique(position[lender] * n + position[borrower], return_inverse=True)
-    totals = np.zeros(pairs.size)
-    np.add.at(totals, slot, amount)
+    totals = np.bincount(slot, weights=amount, minlength=pairs.size)
     nodes = tuple(trades.names[c] for c in codes.tolist())
     return FinancialNetwork(nodes, pairs // n, pairs % n, totals)
 
@@ -382,10 +385,8 @@ def node_strengths(net: FinancialNetwork) -> NodeStrengths:
     (lender, borrower) order, so its bits do not depend on input order.
     """
     n = net.n_nodes
-    out_s = np.zeros(n)
-    in_s = np.zeros(n)
-    np.add.at(out_s, net.lender, net.amount)
-    np.add.at(in_s, net.borrower, net.amount)
+    out_s = np.bincount(net.lender, weights=net.amount, minlength=n)
+    in_s = np.bincount(net.borrower, weights=net.amount, minlength=n)
     out_k = np.bincount(net.lender, minlength=n)
     in_k = np.bincount(net.borrower, minlength=n)
     return NodeStrengths(out_s, in_s, out_k, in_k)
@@ -412,12 +413,10 @@ def write_snapshot(net: FinancialNetwork, path) -> None:
         ))
 
 
-def _snapshot_from_lines(lines: Iterable[str], source: str, plain=False) -> FinancialNetwork:
-    """Parse and check snapshot lines; see :func:`read_snapshot`. With
-    ``plain`` set, chunks go to :func:`_plain_chunk` and one it leaves
-    raises InputError; the constructor then finds a repeated pair."""
+def _snapshot_from_lines(lines: Iterable[str], source: str, seen=None) -> FinancialNetwork:
+    """Parse and check snapshot lines; see :func:`read_snapshot`. Without
+    ``seen``, the constructor finds a repeated pair."""
     declared: dict[str, None] = {}
-    index: dict[str, int] = {}  # loan node ids in first-appearance order
     headers = []
 
     def note(lineno: int, line: str) -> None:
@@ -429,23 +428,11 @@ def _snapshot_from_lines(lines: Iterable[str], source: str, plain=False) -> Fina
         elif line.startswith("# nodes="):
             headers.append((lineno, line))
 
-    seen: set[tuple[str, str]] = set()
-    columns = [(_NO_ROWS, _NO_ROWS, np.empty(0))]
-    for lineno, chunk in _chunks(lines):
-        parsed = _plain_chunk(chunk, index) if plain else _by_line(
-            chunk, lineno, source, index, note, seen=seen
-        )
-        if parsed is None:
-            raise InputError(f"{source}:{lineno}: chunk is not plain")
-        for k, line in parsed[0] or ():
-            note(lineno + k, line)
-        columns.append(parsed[1:4])
-    nodes = [*declared, *(name for name in index if name not in declared)]
-    position = {node: k for k, node in enumerate(nodes)}
-    remap = np.array([position[name] for name in index], dtype=np.int64)
-    lender, borrower, amount = map(np.concatenate, zip(*columns))
-    net = FinancialNetwork(tuple(nodes), remap[lender], remap[borrower], amount)
-    expected = f"# nodes={len(nodes)} edges={amount.size}"
+    ids, lender, borrower, amount, _ = _columns(lines, source, note, seen=seen)
+    position = {node: k for k, node in enumerate(dict.fromkeys([*declared, *ids]))}
+    remap = np.array([position[name] for name in ids], dtype=np.int64)
+    net = FinancialNetwork(tuple(position), remap[lender], remap[borrower], amount)
+    expected = f"# nodes={len(position)} edges={amount.size}"
     if headers and headers[-1][1] != expected:
         raise InputError(
             f"{source}:{headers[-1][0]}: header {headers[-1][1]!r} disagrees with the body "
@@ -461,19 +448,15 @@ def read_snapshot(path) -> FinancialNetwork:
     node to itself or name an empty node id, no node or (lender,
     borrower) pair may appear twice, and a ``# nodes=N edges=E`` header
     must match the body. Violations raise an error naming the line.
-    Plain chunks are parsed as columns, like trades; after any fault the
-    file is read again one line at a time, which names the earliest one.
+    The file is read once by :func:`_columns`, like trades; only after a
+    fault is it read again one line at a time, which names the earliest.
     """
     try:
-        return _parse_file(path, functools.partial(_snapshot_from_lines, plain=True))
-    except InputError:
         return _parse_file(path, _snapshot_from_lines)
+    except InputError:
+        return _parse_file(path, lambda lines, source: _snapshot_from_lines(lines, source, set()))
 
 
 def is_snapshot_file(path) -> bool:
     """True when the file starts with a snapshot header line."""
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(len(b"# nodes=")) == b"# nodes="
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    return _parse_file(path, lambda handle, source: handle.read(8) == "# nodes=")

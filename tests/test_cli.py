@@ -155,8 +155,9 @@ NODES_ABC = "# node a\n# node b\n# node c\n"
 # a file body (text, or bytes that need not be UTF-8), an inline synth:
 # spec, or None for the t3 edge list; "{input}" in the message stands
 # for the input path, and "{config}" in a flag or the message for a
-# config file holding the case's line of CONFIG_LINES.
-CONFIG_LINES = {"unknown-config-key": "etta=0.1\n", "bad-config-bool": "trace=treu\n"}
+# config file holding the case's line of CONFIG_LINES (text, or bytes).
+CONFIG_LINES = {"unknown-config-key": "etta=0.1\n", "bad-config-bool": "trace=treu\n",
+                "non-utf8-config": b"eta=0.1\xff\n"}
 ERROR_CASES = {
     "nan-amount": (
         ["risk"], "# nodes=3 edges=3\n" + NODES_ABC + "a,b,nan\nb,c,-5.0\nc,c,1.0\n",
@@ -227,6 +228,10 @@ ERROR_CASES = {
         ["risk", "--config", "{config}"], None,
         EXIT_BAD_ARGS, "config key trace: bad bool 'treu'",
     ),
+    "non-utf8-config": (
+        ["risk", "--config", "{config}"], None,
+        EXIT_INPUT, "{config}:1: not valid UTF-8 text",
+    ),
     "bad-float-flag": (
         ["risk", "--eta", "abc"], None,
         EXIT_BAD_ARGS, "error: argument --eta: invalid float value: 'abc'",
@@ -253,6 +258,14 @@ ERROR_CASES = {
         ["risk", "--window-start", "2020-13-01"], None,
         EXIT_BAD_ARGS, "bad window start date '2020-13-01'",
     ),
+    "bad-window-snapshot": (
+        ["risk", "--window-start", "2020-13-01"], "# nodes=2 edges=1\na,b,1.0\n",
+        EXIT_BAD_ARGS, "bad window start date '2020-13-01'",
+    ),
+    "bad-window-synth": (
+        ["risk", "--window-start", "2020-13-01"], "synth:n_nodes=8",
+        EXIT_BAD_ARGS, "bad window start date '2020-13-01'",
+    ),
     "empty-network": (
         ["risk"], "# nodes=0 edges=0\n", EXIT_INPUT, "cascade needs at least 2 nodes",
     ),
@@ -276,7 +289,8 @@ def test_error_exit_codes(case, t3_file, tmp_path, capsys):
         source = tmp_path / "snapshot.csv"
         source.write_text(body)
     config = tmp_path / "run.conf"
-    config.write_text(CONFIG_LINES.get(case, ""))
+    lines = CONFIG_LINES.get(case, "")
+    config.write_bytes(lines if isinstance(lines, bytes) else lines.encode())
     flags = [str(flag).format(config=config) for flag in command[1:]]
     code = run_cli([command[0], "--input", source, *flags, "--out", tmp_path / "o"])
     err = capsys.readouterr().err

@@ -560,3 +560,22 @@ def test_plain_files_never_reach_the_per_line_loop(tmp_path, monkeypatch):
         monkeypatch.setattr(network, "PARSE_CHUNK", chunk)
         assert len(network.ingest_file(trades)) == 3000
         assert read_snapshot(snapshot) == net
+
+
+def test_irregular_snapshot_reads_other_chunks_as_columns(tmp_path, monkeypatch):
+    net = generate_synthetic(SyntheticSpec(n_nodes=150))
+    snapshot = tmp_path / "network.csv"
+    write_snapshot(net, snapshot)
+    with open(snapshot, "a", encoding="utf-8") as handle:
+        handle.write("\n")  # a blank line: its chunk alone goes to the per-line loop
+    calls = []
+    by_line = network._by_line
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])  # the first line number of the chunk
+        return by_line(*args, **kwargs)
+
+    monkeypatch.setattr(network, "_by_line", counted)
+    monkeypatch.setattr(network, "PARSE_CHUNK", 100)
+    assert read_snapshot(snapshot) == net
+    assert len(calls) == 1
