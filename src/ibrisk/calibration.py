@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, ParameterError
+from .errors import CalibrationError, InputError, ParameterError
 from .network import FinancialNetwork, NodeStrengths, node_strengths
 
 
@@ -43,10 +43,6 @@ class CalibratedNetwork:
     fund_contribution: np.ndarray
     params: CalibrationParams
     strengths: NodeStrengths
-
-    @property
-    def total_fund(self) -> float:
-        return float(np.sum(self.fund_contribution))
 
     def external_assets(self) -> np.ndarray:
         """Assets held outside the money market: D = B - lent - E."""
@@ -83,14 +79,23 @@ def edge_weights(loss: np.ndarray, reserve: np.ndarray) -> np.ndarray:
 def calibrate(net: FinancialNetwork, params: CalibrationParams) -> CalibratedNetwork:
     """Derive balances, reserves and fund contributions from strengths.
 
-    Fails when any node would end up with negative external assets,
-    i.e. beta is too small for that node's money-market concentration.
+    Fails with InputError when one of these or the external assets
+    overflows float64 (amounts are finite, so only an overflow gives inf
+    or NaN), and with CalibrationError when any node would end up with
+    negative external assets, i.e. beta is too small for that node's
+    money-market concentration.
     """
     strengths = node_strengths(net)
-    balance = params.beta * np.maximum(strengths.in_strength, strengths.out_strength)
-    reserve = params.eta * balance
-    fund = params.alpha * reserve
-    external = balance - strengths.out_strength - reserve
+    with np.errstate(over="ignore", invalid="ignore"):
+        balance = params.beta * np.maximum(strengths.in_strength, strengths.out_strength)
+        reserve = params.eta * balance
+        fund = params.alpha * reserve
+        external = balance - strengths.out_strength - reserve
+    for name, values in (("balance", balance), ("reserve", reserve),
+                         ("fund contribution", fund), ("external assets", external)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise InputError(f"node {net.nodes[bad[0]]!r}: {name} overflows float64")
     bad = np.flatnonzero(external < 0)
     if bad.size:
         node = net.nodes[bad[0]]

@@ -24,17 +24,11 @@ import numpy as np
 from . import experiments, network, roi
 from .calibration import CalibrationParams, calibrate
 from .contagion import run_cascade
-from .errors import CalibrationError, IbRiskError, InputError, ParameterError
+from .errors import IbRiskError, InputError, ParameterError
 from .network import FinancialNetwork
 from .risk import check_p_exo
 
 logger = logging.getLogger(__name__)
-
-EXIT_OK = 0
-EXIT_BAD_ARGS = ParameterError.exit_code
-EXIT_INPUT = InputError.exit_code
-EXIT_CALIBRATION = CalibrationError.exit_code
-EXIT_INTERNAL = IbRiskError.exit_code
 
 # Every parameter, as name: (default, help). It gives the flag, the
 # config-file key and the cast of both: the default's type, str for a
@@ -300,15 +294,15 @@ def main(argv=None) -> int:
         config = resolve_config(args)
         summary = execute_scenario(config, args.command)
     except IbRiskError as exc:
-        kind = "internal error" if exc.exit_code == EXIT_INTERNAL else "error"
+        kind = "internal error" if exc.exit_code == IbRiskError.exit_code else "error"
         print(f"{kind}: {exc}", file=sys.stderr)
         return exc.exit_code
     except Exception as exc:  # anything unexpected: one line, no traceback
         logger.debug("unexpected failure", exc_info=True)
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return IbRiskError.exit_code
     print(summary)
-    return EXIT_OK
+    return 0
 
 
 if __name__ == "__main__":

@@ -51,7 +51,6 @@ class CascadeEnsemble:
     final_distress: np.ndarray  # (seeds x nodes)
     steps: np.ndarray  # rounds per seed, at least 1
     defaulted: np.ndarray  # bool (seeds x nodes); each seed counts as defaulted
-    n_nodes: int
     # (seeds x nodes) distress before the first round and after each
     # round that fired an edge; recorded by run_cascade only.
     trace: Optional[tuple[np.ndarray, ...]] = None
@@ -198,7 +197,6 @@ def _cascades(
         final_distress=h,
         steps=steps,
         defaulted=h >= 1.0 - DEFAULT_TOLERANCE,
-        n_nodes=n,
         trace=None if trace is None else tuple(trace),
     )
 

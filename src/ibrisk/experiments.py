@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .roi import DEFAULT_RATES, RoiRates, nominal_roi, risk_adjusted_roi
 DEFAULT_ETA_GRID = (0.0, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05)
 DEFAULT_ALPHA_GRID = (0.0, 0.001, 0.01, 0.05, 0.1, 0.5, 1.0)
 DEFAULT_ETA_INCREASE_GRID = (0.0, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0)
+ISO_ALPHA_TOL = 1e-4  # width at which an iso-curve alpha bracket stops shrinking
 
 
 @dataclass(frozen=True)
@@ -128,8 +130,6 @@ def iso_curve(
     eta0: float,
     eta_increase_grid: tuple[float, ...] = DEFAULT_ETA_INCREASE_GRID,
     beta: float = 10.0,
-    *,
-    alpha_tol: float = 1e-4,
 ) -> list[IsoPoint]:
     """Trade a relative reserve-requirement increase for a fund tax rate.
 
@@ -145,15 +145,11 @@ def iso_curve(
     if any(b <= a for a, b in zip(eta_increase_grid, eta_increase_grid[1:])):
         raise ParameterError("eta increase grid must be strictly increasing")
 
-    cache: dict[tuple[float, float], float] = {}
-
+    @cache
     def pc_at(eta: float, alpha: float) -> float:
-        key = (eta, alpha)
-        if key not in cache:
-            ensemble = run_ensemble(calibrate(net, CalibrationParams(beta, eta, alpha)))
-            delta = conditional_default_matrix(ensemble)[1]
-            cache[key] = cascade_risk(delta, net.n_nodes)[1]
-        return cache[key]
+        ensemble = run_ensemble(calibrate(net, CalibrationParams(beta, eta, alpha)))
+        delta = conditional_default_matrix(ensemble)[1]
+        return cascade_risk(delta, net.n_nodes)[1]
 
     base_pc = pc_at(eta0, 0.0)
     if base_pc <= 0.0:
@@ -172,7 +168,7 @@ def iso_curve(
             points.append(IsoPoint(rel, 1.0, 1.0, target, full_fund, True))
             continue
         lo, hi = 0.0, 1.0  # pc(lo) > target >= pc(hi); pc nonincreasing
-        while hi - lo > alpha_tol:
+        while hi - lo > ISO_ALPHA_TOL:
             mid = 0.5 * (lo + hi)
             if pc_at(eta0, mid) <= target:
                 hi = mid

@@ -358,6 +358,8 @@ def aggregate_window(
     permutation of volumes within a pair irrelevant. Each pair is summed
     one trade at a time in row order.
     """
+    if not len(trades):
+        raise InputError("the input holds no trades")
     keep = np.ones(len(trades), dtype=bool)
     if start is not None:
         keep &= trades.day >= start.toordinal()

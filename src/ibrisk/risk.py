@@ -20,11 +20,9 @@ def conditional_default_matrix(ens: CascadeEnsemble) -> tuple[np.ndarray, np.nda
     Returns (Q, delta) with delta_i the row sums, i.e. the number of
     non-self runs in which node i defaulted.
     """
-    n = ens.n_nodes
-    if ens.defaulted.shape != (n, n):
-        raise InvariantError(
-            f"incomplete ensemble: {ens.defaulted.shape[0]} seeds for {n} nodes"
-        )
+    seeds, n = ens.defaulted.shape
+    if seeds != n:
+        raise InvariantError(f"incomplete ensemble: {seeds} seeds for {n} nodes")
     q = ens.defaulted.T.astype(np.int8)
     np.fill_diagonal(q, 0)
     delta = q.sum(axis=1, dtype=np.int64)
@@ -49,21 +47,14 @@ def cascade_risk_general(q: np.ndarray, p_exo: np.ndarray) -> np.ndarray:
     p_i^C = sum_{j != i} Q(i|j) p_j / sum_{j != i} p_j. Invariant to a
     common rescaling of the exogenous vector.
     """
-    q = np.asarray(q, dtype=np.float64)
     p_exo = np.asarray(p_exo, dtype=np.float64)
-    n = q.shape[0]
     if np.any(p_exo < 0):
         raise ParameterError("exogenous probabilities must be nonnegative")
-    total = float(np.sum(p_exo))
-    result = np.empty(n)
-    for i in range(n):
-        denominator = total - p_exo[i]
-        if denominator <= 0:
-            raise ParameterError(
-                f"no positive exogenous probability besides node {i}"
-            )
-        result[i] = float(q[i] @ p_exo) / denominator
-    return result
+    denominator = float(np.sum(p_exo)) - p_exo
+    bad = np.flatnonzero(denominator <= 0)
+    if bad.size:
+        raise ParameterError(f"no positive exogenous probability besides node {bad[0]}")
+    return systemic_probabilities(q, p_exo) / denominator
 
 
 def systemic_probabilities(q: np.ndarray, p_exo: np.ndarray) -> np.ndarray:

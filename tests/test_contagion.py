@@ -336,7 +336,8 @@ def test_monotone_in_eta():
 
 
 # iso_curve's bisection assumes cascade risk never rises with alpha;
-# per node, neither a larger fund nor a larger reserve may add a default.
+# per node, neither a larger fund nor a larger reserve may add a default,
+# and no seed's run may gain a defaulted node.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(
@@ -345,14 +346,18 @@ def test_monotone_in_eta():
     alphas=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=3, max_size=3),
 )
 def test_delta_nonincreasing_in_alpha_and_eta_property(net, etas, alphas):
-    def delta(eta, alpha):
-        cal = calibrate(net, CalibrationParams(beta=10.0, eta=eta, alpha=alpha))
-        return conditional_default_matrix(run_ensemble(cal))[1]
+    def outcome(eta, alpha):
+        ensemble = run_ensemble(calibrate(net, CalibrationParams(10.0, eta, alpha)))
+        return conditional_default_matrix(ensemble)[1], ensemble.defaulted
 
     eta_lo, eta_hi, eta = sorted(etas[:2]) + etas[2:]
     alpha_lo, alpha_hi, alpha = sorted(alphas[:2]) + alphas[2:]
-    assert np.all(delta(eta, alpha_hi) <= delta(eta, alpha_lo))
-    assert np.all(delta(eta_hi, alpha) <= delta(eta_lo, alpha))
+    for (delta_lo, mask_lo), (delta_hi, mask_hi) in [
+        (outcome(eta, alpha_lo), outcome(eta, alpha_hi)),
+        (outcome(eta_lo, alpha), outcome(eta_hi, alpha)),
+    ]:
+        assert np.all(delta_hi <= delta_lo)
+        assert not np.any(mask_hi & ~mask_lo)
 
 
 def test_steps_bounded_by_link_count(t3):

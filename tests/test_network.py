@@ -247,6 +247,8 @@ def per_record_ingest(lines, start, end):
         except ValueError:
             return warnings, f"{where}: unparseable date {date_text!r}"
         records.append((lender, borrower, amount, date))
+    if not records:
+        return warnings, "the input holds no trades"
     selected = [
         r for r in records if (start is None or r[3] >= start) and (end is None or r[3] <= end)
     ]

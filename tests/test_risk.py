@@ -57,7 +57,6 @@ def test_incomplete_ensemble_rejected(t3):
         final_distress=ens.final_distress[:2],
         steps=ens.steps[:2],
         defaulted=ens.defaulted[:2],
-        n_nodes=3,
     )
     with pytest.raises(InvariantError):
         conditional_default_matrix(broken)
