@@ -79,7 +79,8 @@ def edge_weights(loss: np.ndarray, reserve: np.ndarray) -> np.ndarray:
 def calibrate(net: FinancialNetwork, params: CalibrationParams) -> CalibratedNetwork:
     """Derive balances, reserves and fund contributions from strengths.
 
-    Fails with InputError when one of these or the external assets
+    Fails with InputError when one of these, the external assets, or the
+    total out-strength or balance, which impact and market ROI divide by,
     overflows float64 (amounts are finite, so only an overflow gives inf
     or NaN), and with CalibrationError when any node would end up with
     negative external assets, i.e. beta is too small for that node's
@@ -91,11 +92,15 @@ def calibrate(net: FinancialNetwork, params: CalibrationParams) -> CalibratedNet
         reserve = params.eta * balance
         fund = params.alpha * reserve
         external = balance - strengths.out_strength - reserve
+        totals = {"out-strength": np.sum(strengths.out_strength), "balance": np.sum(balance)}
     for name, values in (("balance", balance), ("reserve", reserve),
                          ("fund contribution", fund), ("external assets", external)):
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise InputError(f"node {net.nodes[bad[0]]!r}: {name} overflows float64")
+    for name, total in totals.items():
+        if not np.isfinite(total):
+            raise InputError(f"the total {name} overflows float64")
     bad = np.flatnonzero(external < 0)
     if bad.size:
         node = net.nodes[bad[0]]

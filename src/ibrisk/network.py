@@ -7,6 +7,7 @@ Loan amounts A[i, j] mean "node i lent this much to node j".
 from __future__ import annotations
 
 import datetime as dt
+import io
 import itertools
 import logging
 from dataclasses import dataclass
@@ -19,9 +20,10 @@ from .errors import InputError
 logger = logging.getLogger(__name__)
 
 
-# Lines parsed together as one set of columns. A chunk's per-line strings
-# live only while it is parsed, so this bounds the parser's memory; larger
-# chunks were no faster, and 65,536 lines took 30 MB more on 300k trades.
+# A text file is parsed in blocks of READ_BLOCK characters and the rest of
+# the last line; on 300k trades 64k peaked 3 MB below 16k and 9 MB below
+# 256k, and ran fastest. Other iterables join PARSE_CHUNK lines a block.
+READ_BLOCK = 65536
 PARSE_CHUNK = 8192
 
 
@@ -169,48 +171,39 @@ def _codes(table: dict, keys: list, new) -> np.ndarray:
         return _codes(table, keys, new)
 
 
-def _plain_chunk(chunk: list[str], lineno: int, index: dict[str, int], note,
+def _plain_chunk(text: str, count: int, lineno: int, index: dict[str, int], note,
                  ordinal: Optional[dict] = None):
-    """Parse a chunk at once, or return None to leave it to :func:`_by_line`.
+    """Parse a block at once, or return None to leave it to :func:`_by_line`.
 
     Rows are trades given the ``ordinal`` cache of date texts, else loans.
-    Each line must be UTF-8 and a whole-line ``#`` comment or a plain row:
-    fields joined by commas and ended by its only newline, with no ``#``
-    and no ``_PADDING`` byte next to a comma or a line edge, so that
-    ``str.strip`` changes no field. Once the fields pass every check of
-    :func:`_by_line`, calls ``note`` for each ``#`` line (the chunk starts
-    at line ``lineno``) and returns the columns of :func:`_by_line`. New
-    ids join ``index`` before the field checks, which is safe for trades
-    and loans alike: every field check that fails is also an error of
-    :func:`_by_line`, which then raises on this chunk.
+    ``text`` holds ``count`` whole lines, each ended by its only newline.
+    Each must be UTF-8 and a whole-line ``#`` comment or a plain row:
+    fields joined by commas, with no ``_PADDING`` byte next to a comma or
+    a line edge, so that ``str.strip`` changes no field. Once the fields
+    pass every check of :func:`_by_line`, calls ``note`` for each ``#``
+    line (the block starts at line ``lineno``) and returns the columns of
+    :func:`_by_line`. New ids join ``index`` before the field checks,
+    which is safe for trades and loans alike: every field check that
+    fails is also an error of :func:`_by_line`, which raises on the block.
     """
     n_fields = 3 if ordinal is None else 4
-    text = "#".join(chunk)  # the '#' after each row's newline shows where the row ends
     comments = []
     try:
-        if text.count("#") >= len(chunk):  # '#' lines, or a '#' inside a row
+        if "#" in text:
             text.encode("utf-8")
-            comments = [(k, line.strip()) for k, line in enumerate(chunk) if line[:1] == "#"]
-            chunk = [line for line in chunk if line[:1] != "#"]
-            text = "#".join(chunk)
+            lines = text.split("\n")
+            comments = [(k, line.strip()) for k, line in enumerate(lines) if line[:1] == "#"]
+            text = "\n".join([line for line in lines if line[:1] != "#"])
         data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
     except UnicodeEncodeError:  # lone surrogates: undecodable bytes of the file
         return None
-    n = len(chunk)
+    n = count - len(comments)
     if n:
         sep = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
-        if sep.size != n * n_fields or data[-1] != ord("\n"):
+        edges = np.concatenate(([0], sep - 1, sep[:-1] + 1))
+        if data[sep].tobytes() != b",,,\n"[-n_fields:] * n or _PADDING[data[edges]].any():
             return None
-        sep = sep.reshape(n, n_fields)
-        ends = sep[:-1, -1]  # the newlines that a join '#' follows
-        edges = np.concatenate(([0], ends + 2, sep.ravel() - 1, sep[:, :-1].ravel() + 1))
-        if not (
-            (data[sep] == np.frombuffer(b",,,\n"[-n_fields:], dtype=np.uint8)).all()
-            and (data[ends + 1] == ord("#")).all()
-            and np.count_nonzero(data == ord("#")) == n - 1
-        ) or _PADDING[data[edges]].any():
-            return None
-    fields = text[:-1].replace("\n#", ",").split(",") if n else []
+    fields = text[:-1].replace("\n", ",").split(",") if n else []
     ids = [""] * (2 * n)
     ids[0::2], ids[1::2] = fields[0::n_fields], fields[1::n_fields]
     codes = _codes(index, ids, lambda name: len(index))
@@ -290,20 +283,36 @@ def _by_line(lines: Iterable[str], lineno: int, source: str, index: dict[str, in
     return lender.astype(np.int64), borrower.astype(np.int64), amount, day.astype(np.int64)
 
 
-def _columns(lines: Iterable[str], source: str, note, ordinal: Optional[dict] = None,
+def _blocks(lines):
+    """``lines``, a text file or any other iterable of lines, in blocks
+    ``(text, chunk)`` of whole lines: ``text`` ends each by its only
+    newline, or is None when a line of the list ``chunk`` holds another."""
+    if isinstance(lines, io.TextIOBase):
+        while block := lines.read(READ_BLOCK) + lines.readline():
+            yield (block if block[-1] == "\n" else block + "\n"), None
+        return
+    lines = iter(lines)
+    while chunk := list(itertools.islice(lines, PARSE_CHUNK)):
+        text = "\n".join([line.removesuffix("\n") for line in chunk]) + "\n"
+        yield (text if text.count("\n") == len(chunk) else None), chunk
+
+
+def _columns(lines, source: str, note, ordinal: Optional[dict] = None,
              seen: Optional[set] = None):
-    """Parse ``lines`` ``PARSE_CHUNK`` at a time, each chunk as columns by
+    """Parse the blocks of :func:`_blocks`, each with text as columns by
     :func:`_plain_chunk` unless ``seen`` is given, else one line at a time
     by :func:`_by_line`. Returns the ids in first-appearance order and the
     lender, borrower, amount and day columns of every row, read-only.
     """
     index: dict[str, int] = {}
     columns = [(_NO_ROWS, _NO_ROWS, np.empty(0), _NO_ROWS)]
-    lines, lineno = iter(lines), 1
-    while chunk := list(itertools.islice(lines, PARSE_CHUNK)):
-        parsed = None if seen is not None else _plain_chunk(chunk, lineno, index, note, ordinal)
-        columns.append(parsed or _by_line(chunk, lineno, source, index, note, ordinal, seen))
-        lineno += len(chunk)
+    lineno = 1
+    for text, chunk in _blocks(lines):
+        count = len(chunk) if chunk else text.count("\n")
+        parsed = seen is None and text and _plain_chunk(text, count, lineno, index, note, ordinal)
+        columns.append(parsed or _by_line(
+            chunk or text.split("\n")[:-1], lineno, source, index, note, ordinal, seen))
+        lineno += count
     arrays = [np.concatenate(column) for column in zip(*columns)]
     for array in arrays:
         array.flags.writeable = False
@@ -369,14 +378,14 @@ def aggregate_window(
     if not amount.size:
         raise InputError("no transactions fall inside the requested window")
     ends = np.column_stack((lender, borrower)).ravel()
-    codes, first = np.unique(ends, return_index=True)
-    codes = codes[np.argsort(first)]
-    position = np.empty(len(trades.names), dtype=np.int64)
-    position[codes] = np.arange(codes.size)
-    n = codes.size
+    first = np.full(len(trades.names), ends.size)
+    np.minimum.at(first, ends, np.arange(ends.size))
+    codes = np.argsort(first)  # absent codes keep first == ends.size, so they sort last
+    position = np.argsort(codes)
+    n = np.count_nonzero(first < ends.size)
     pairs, slot = np.unique(position[lender] * n + position[borrower], return_inverse=True)
     totals = np.bincount(slot, weights=amount, minlength=pairs.size)
-    nodes = tuple(trades.names[c] for c in codes.tolist())
+    nodes = tuple(trades.names[c] for c in codes[:n].tolist())
     return FinancialNetwork(nodes, pairs // n, pairs % n, totals)
 
 

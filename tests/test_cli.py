@@ -150,6 +150,7 @@ def test_snapshot_reload_pipeline(t3_file, tmp_path, capsys):
 
 
 NODES_ABC = "# node a\n# node b\n# node c\n"
+CYCLE_1E308 = "a,b,1e308\nb,c,1e308\nc,a,1e308\n"
 
 
 # (command and flags, input, exit code, expected stderr). The input is
@@ -275,6 +276,20 @@ ERROR_CASES = {
     "float-overflow": (
         ["risk"], "# nodes=3 edges=3\n" + NODES_ABC + "a,b,1e308\nb,a,1e308\nb,c,1e308\n",
         InputError.exit_code, "error: node 'a': balance overflows float64",
+    ),
+    # Every node's values are finite, but the sums over nodes that impact
+    # and market ROI divide by are not.
+    "overflow-total-risk": (
+        ["risk", "--beta", 1.5], "# nodes=3 edges=3\n" + NODES_ABC + CYCLE_1E308,
+        InputError.exit_code, "error: the total out-strength overflows float64",
+    ),
+    "overflow-total-roi": (
+        ["roi", "--beta", 1.5], "# nodes=3 edges=3\n" + NODES_ABC + CYCLE_1E308,
+        InputError.exit_code, "error: the total out-strength overflows float64",
+    ),
+    "overflow-total-balance": (
+        ["roi", "--beta", 1.5], "# nodes=2 edges=1\na,b,1e308\n",
+        InputError.exit_code, "error: the total balance overflows float64",
     ),
     "comment-only-trades": (
         ["ingest"], "# lender,borrower,amount,date\n",

@@ -56,6 +56,13 @@ def test_ingest_malformed_line_names_line_number():
         ingest_transactions(["B1,B2,8.0,2000-04-03", "garbage"])
 
 
+def test_ingest_list_element_holding_a_newline_is_one_line():
+    # Joined naively, this element would read as two trades.
+    with pytest.raises(InputError) as info:
+        ingest_transactions(["a,b,1,2020-01-01\nc,d,2,2020-01-02"])
+    assert str(info.value) == "<stream>:1: expected 4 fields, got 7"
+
+
 def test_ingest_skips_blank_lines_with_warning(caplog):
     lines = ["B1,B2,8.0,2000-04-03", "", "B2,B3,5.0,2000-04-03"]
     with caplog.at_level("WARNING"):
@@ -294,10 +301,14 @@ def trade_line(draw):
     return ",".join(fields) + draw(st.sampled_from(["", "\n"]))
 
 
+# List elements that hold a newline before their end are one line each.
+INNER_NEWLINES = ["A,B,1,2020-01-01\nC,D,2,2020-01-02", "A,B,1\n,2020-01-01", "\n\n"]
+
+
 @st.composite
 def trade_streams(draw):
     skipped = st.sampled_from(["", "  ", "\n", "# note", " # a,b"])
-    lines = draw(st.lists(trade_line() | skipped, max_size=14))
+    lines = draw(st.lists(trade_line() | skipped | st.sampled_from(INNER_NEWLINES), max_size=14))
     for bad in draw(st.lists(st.sampled_from(BAD_TRADES), max_size=2)):
         lines.insert(draw(st.integers(0, len(lines))), bad)
     return lines
@@ -338,15 +349,15 @@ SNAPSHOT_LINES = [
 BAD_LOANS = ["a,a,1", "a,,1", "a,b", "a,b,nan", "a,b,zz", "d,e,0"]
 
 
-# Reading in chunks of 1-3 lines must give the network or the error of
-# a read in one chunk, also for repeats that fall in different chunks.
+# Reading in blocks of 1-64 characters must give the network or the error
+# of a read in one block, also for repeats that fall in different blocks.
 @settings(max_examples=100, deadline=None)
 @given(
     lines=st.lists(st.sampled_from(SNAPSHOT_LINES), max_size=10),
     bad=st.lists(st.tuples(st.integers(0, 10), st.sampled_from(BAD_LOANS)), max_size=1),
-    chunk=st.integers(1, 3),
+    block=st.integers(1, 64),
 )
-def test_snapshot_read_independent_of_chunking(tmp_path_factory, lines, bad, chunk):
+def test_snapshot_read_independent_of_chunking(tmp_path_factory, lines, bad, block):
     for position, line in bad:
         lines.insert(position, line)
     path = tmp_path_factory.getbasetemp() / "chunked-snapshot.csv"
@@ -360,7 +371,7 @@ def test_snapshot_read_independent_of_chunking(tmp_path_factory, lines, bad, chu
 
     whole = read()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(network, "PARSE_CHUNK", chunk)
+        patch.setattr(network, "READ_BLOCK", block)
         assert read() == whole
 
 
@@ -414,13 +425,15 @@ def per_record_snapshot(lines, source):
 # UTF-8, U+00A0 (whitespace to str.strip), tab and space.
 EDGE_BYTES = [b"\xef\xbb\xbf", b"\r", b"\x00", b"\xff", b"\xc2\xa0", b"\t", b" "]
 MUTATIONS = ["hash", "underscore", "edge", "duplicate", "blank", "no-newline"]
+LINE_ENDS = st.sampled_from([b"\n", b"\r\n", b"\r"])
 
 
 @st.composite
 def mutated(draw, lines):
     """The byte lines of a file with up to four mutations: a '#' inside a
     line, '_' in an amount, EDGE_BYTES at a field edge, a duplicated or a
-    blank line, or no newline at the end."""
+    blank line, or no newline at the end; each newline then becomes LF,
+    CRLF or a lone CR."""
     lines = list(lines) or [b"\n"]
     for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=4)):
         k = draw(st.integers(0, len(lines) - 1))
@@ -443,7 +456,7 @@ def mutated(draw, lines):
             lines.insert(k, draw(st.sampled_from([b"\n", b" \n"])))
         elif kind == "no-newline":
             lines[-1] = lines[-1].rstrip(b"\n")
-    return lines
+    return [line[:-1] + draw(LINE_ENDS) if line[-1:] == b"\n" else line for line in lines]
 
 
 NODE_IDS = ["A", "B", "n164", "é", "Ωx"]  # ASCII and non-ASCII ids
@@ -499,24 +512,34 @@ def trade_bits(trades):
     return trades.names, *(column.tobytes() for column in columns)
 
 
-# Each chunk is parsed as columns or, at any doubt, one line at a time by
-# the same rules; either way the outcome is the per-record loop's.
+# Each chunk or block is parsed as columns or, at any doubt, one line at a
+# time by the same rules; either way the outcome is the per-record loop's.
+# Tiny blocks end reads inside lines, also between the CR and LF of a CRLF.
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=trade_file(), chunk=st.sampled_from([1, 2, 3, network.PARSE_CHUNK]))
-def test_mutated_trades_match_per_record_loop(tmp_path_factory, data, chunk, caplog):
+@given(data=trade_file(), chunk=st.sampled_from([1, 2, 3, network.PARSE_CHUNK]),
+       block=st.sampled_from([1, 7, 64, network.READ_BLOCK]))
+def test_mutated_trades_match_per_record_loop(tmp_path_factory, data, chunk, block, caplog):
     path = tmp_path_factory.getbasetemp() / "mutated-trades.csv"
     path.write_bytes(b"".join(data))
     lines = read_lines(path)
     expected_warnings, expected = per_record_ingest(lines, None, None)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(network, "PARSE_CHUNK", chunk)
+        patch.setattr(network, "READ_BLOCK", block)
         caplog.clear()
         with caplog.at_level("WARNING", logger="ibrisk.network"):
             trades = outcome(ingest_transactions, lines)
         assert caplog.messages == expected_warnings
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="ibrisk.network"):
+            from_file = outcome(network.ingest_file, path)
+        assert caplog.messages == [
+            warning.replace("<stream>", str(path), 1) for warning in expected_warnings
+        ]
         patch.setattr(network, "_plain_chunk", lambda *args: None)
         assert trade_bits(trades) == trade_bits(outcome(ingest_transactions, lines))
+        assert trade_bits(from_file) == trade_bits(outcome(ingest_transactions, lines, str(path)))
     if isinstance(expected, str):  # a bad line, or no rows to aggregate
         got = trades if isinstance(trades, str) else outcome(aggregate_window, trades)
         assert got == expected
@@ -526,13 +549,13 @@ def test_mutated_trades_match_per_record_loop(tmp_path_factory, data, chunk, cap
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=snapshot_file(), chunk=st.sampled_from([1, 2, 3, network.PARSE_CHUNK]))
-def test_mutated_snapshots_match_per_record_loop(tmp_path_factory, data, chunk):
+@given(data=snapshot_file(), block=st.sampled_from([1, 7, 64, network.READ_BLOCK]))
+def test_mutated_snapshots_match_per_record_loop(tmp_path_factory, data, block):
     path = tmp_path_factory.getbasetemp() / "mutated-snapshot.csv"
     path.write_bytes(b"".join(data))
     expected = per_record_snapshot(read_lines(path), str(path))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(network, "PARSE_CHUNK", chunk)
+        patch.setattr(network, "READ_BLOCK", block)
         got = outcome(read_snapshot, path)
     assert got == (expected if isinstance(expected, str) else network_of(*expected))
 
@@ -555,11 +578,11 @@ def test_plain_files_never_reach_the_per_line_loop(tmp_path, monkeypatch):
     write_snapshot(net, snapshot)
 
     def by_line(*args, **kwargs):
-        raise AssertionError("a chunk went to the per-line loop")
+        raise AssertionError("a block went to the per-line loop")
 
     monkeypatch.setattr(network, "_by_line", by_line)
-    for chunk in (100, network.PARSE_CHUNK):  # 100: chunks of only '# node' lines too
-        monkeypatch.setattr(network, "PARSE_CHUNK", chunk)
+    for block in (1000, network.READ_BLOCK):  # 1000: blocks of only '# node' lines too
+        monkeypatch.setattr(network, "READ_BLOCK", block)
         assert len(network.ingest_file(trades)) == 3000
         assert read_snapshot(snapshot) == net
 
@@ -569,15 +592,15 @@ def test_irregular_snapshot_reads_other_chunks_as_columns(tmp_path, monkeypatch)
     snapshot = tmp_path / "network.csv"
     write_snapshot(net, snapshot)
     with open(snapshot, "a", encoding="utf-8") as handle:
-        handle.write("\n")  # a blank line: its chunk alone goes to the per-line loop
+        handle.write("\n")  # a blank line: its block alone goes to the per-line loop
     calls = []
     by_line = network._by_line
 
     def counted(*args, **kwargs):
-        calls.append(args[1])  # the first line number of the chunk
+        calls.append(args[1])  # the first line number of the block
         return by_line(*args, **kwargs)
 
     monkeypatch.setattr(network, "_by_line", counted)
-    monkeypatch.setattr(network, "PARSE_CHUNK", 100)
+    monkeypatch.setattr(network, "READ_BLOCK", 1000)
     assert read_snapshot(snapshot) == net
     assert len(calls) == 1
