@@ -91,7 +91,8 @@ def calibrate(net: FinancialNetwork, params: CalibrationParams) -> CalibratedNet
         balance = params.beta * np.maximum(strengths.in_strength, strengths.out_strength)
         reserve = params.eta * balance
         fund = params.alpha * reserve
-        external = balance - strengths.out_strength - reserve
+        cal = CalibratedNetwork(net, balance, reserve, fund, params, strengths)
+        external = cal.external_assets()
         totals = {"out-strength": np.sum(strengths.out_strength), "balance": np.sum(balance)}
     for name, values in (("balance", balance), ("reserve", reserve),
                          ("fund contribution", fund), ("external assets", external)):
@@ -109,7 +110,7 @@ def calibrate(net: FinancialNetwork, params: CalibrationParams) -> CalibratedNet
             f"(D={external[bad[0]]:.6g}); beta={params.beta} is too small "
             "for its money-market concentration"
         )
-    return CalibratedNetwork(net, balance, reserve, fund, params, strengths)
+    return cal
 
 
 def propagation_weights(cal: CalibratedNetwork) -> PropagationWeights:

@@ -7,6 +7,7 @@ distress (values read from the previous round), capped at 1. Fired
 edges are discarded; the run stops when nothing can fire.
 
 The rescue fund compensates the seed's lenders before propagation:
+their requests, one exposure each, total the seed's in-strength, and
 the first-round loss on each seed->lender edge is the exposure minus
 the payout. The fund is the pool filled by the alpha tax, so it is
 empty at alpha = 0 and then pays nothing.
@@ -56,54 +57,47 @@ class CascadeEnsemble:
     trace: Optional[tuple[np.ndarray, ...]] = None
 
 
-def _requested(weights: PropagationWeights, n: int) -> np.ndarray:
-    """Each node's lenders' total exposure to it, summed in lender order."""
-    return np.bincount(weights.src, weights=weights.loss, minlength=n)
-
-
-def _fund_ratios(fund: np.ndarray, requested: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+def _fund_ratios(cal: CalibratedNetwork, seeds: np.ndarray) -> np.ndarray:
     """Share min(1, available / requested) of each seed's lenders' requests paid.
 
-    Every lender requests its full exposure to the seed. The seed's own
-    contribution is consumed by the seed (which defaults anyway), so the
-    pool available to lenders is everyone else's contribution, summed in
-    node order with the seed's entry zeroed (adding zero is exact).
-    Without requests nothing is paid.
+    Every lender requests its full exposure to the seed, so the requests
+    total the seed's in-strength. The seed's own contribution is
+    consumed by the seed (which defaults anyway), so the pool available
+    to lenders is everyone else's contribution, summed in node order
+    with the seed's entry zeroed (adding zero is exact). Without
+    requests nothing is paid.
     """
-    pool = np.tile(fund, (len(seeds), 1))
+    pool = np.tile(cal.fund_contribution, (len(seeds), 1))
     pool[np.arange(len(seeds)), seeds] = 0.0
     available = np.cumsum(pool, axis=1)[:, -1]  # sequential, unlike np.sum
-    asked = requested[seeds]
+    asked = cal.strengths.in_strength[seeds]
     ratio = np.zeros(len(seeds))
     paid = asked > 0.0
     ratio[paid] = np.minimum(1.0, available[paid] / asked[paid])
     return ratio
 
 
-def _payouts(loss: np.ndarray, ratio) -> np.ndarray:
-    """Rationed payout on each exposure; only positive exposures request."""
-    return np.where(loss > 0.0, loss * ratio, 0.0)
+def _one_seed(cal: CalibratedNetwork, seed: int) -> np.ndarray:
+    """``[seed]``, or InputError when ``seed`` is no node index."""
+    if not 0 <= seed < cal.net.n_nodes:
+        raise InputError(f"unknown seed node index {seed}")
+    return np.array([seed])
 
 
 def compute_rescue_payouts(cal: CalibratedNetwork, seed: int) -> np.ndarray:
-    """Fund payouts to the seed's lenders, indexed by lender.
-
-    Requests beyond the pool are rationed proportionally (see
-    :func:`_fund_ratios`).
-    """
-    n = cal.net.n_nodes
-    weights = propagation_weights(cal)
-    ratio = _fund_ratios(cal.fund_contribution, _requested(weights, n), np.array([seed]))
-    mine = weights.src == seed
-    payouts = np.zeros(n)
-    payouts[weights.dst[mine]] = _payouts(weights.loss[mine], ratio[0])
+    """Fund payouts to the seed's lenders, indexed by lender: each
+    exposure times the seed's fund ratio (see :func:`_fund_ratios`)."""
+    net = cal.net
+    ratio = _fund_ratios(cal, _one_seed(cal, seed))[0]
+    mine = net.borrower == seed
+    payouts = np.zeros(net.n_nodes)
+    payouts[net.lender[mine]] = net.amount[mine] * ratio
     return payouts
 
 
 def _sweep_block(
     h: np.ndarray,
     seeds: np.ndarray,
-    ratio: np.ndarray,
     cal: CalibratedNetwork,
     weights: PropagationWeights,
     offsets: np.ndarray,
@@ -122,6 +116,7 @@ def _sweep_block(
     edge counts.
     """
     b, n = h.shape
+    ratio = _fund_ratios(cal, seeds)
     flat = h.reshape(-1)  # a view: h is a C-contiguous block of rows
     front = np.arange(b) * n + seeds
     flat[front] = 1.0
@@ -150,10 +145,8 @@ def _sweep_block(
             target = weights.dst[edge]
             if first_round:  # only the seeds fire: their lenders get payouts
                 loss = weights.loss[edge]
-                weight = edge_weights(
-                    loss - _payouts(loss, np.repeat(ratio[rows[lo:hi]], fired)),
-                    cal.reserve[target],
-                )
+                loss = loss - loss * np.repeat(ratio[rows[lo:hi]], fired)
+                weight = edge_weights(loss, cal.reserve[target])
             else:
                 weight = weights.weight[edge]
             weight *= np.repeat(source[lo:hi], fired)
@@ -182,15 +175,13 @@ def _cascades(
         raise InputError("cascade needs at least 2 nodes")
     weights = propagation_weights(cal)
     offsets = np.searchsorted(weights.src, np.arange(n + 1))
-    requested = _requested(weights, n)
     h = np.zeros((len(seeds), n))
     steps = np.empty(len(seeds), dtype=np.int64)
     rows = max(1, BLOCK_CELLS // n)
     for lo in range(0, len(seeds), rows):
         block = seeds[lo : lo + rows]
-        ratio = _fund_ratios(cal.fund_contribution, requested, block)
         steps[lo : lo + len(block)] = _sweep_block(
-            h[lo : lo + len(block)], block, ratio, cal, weights, offsets, trace
+            h[lo : lo + len(block)], block, cal, weights, offsets, trace
         )
     # A seed starts at 1 and distress never falls, so it counts as defaulted.
     return CascadeEnsemble(
@@ -203,9 +194,7 @@ def _cascades(
 
 def run_cascade(cal: CalibratedNetwork, seed: int) -> CascadeEnsemble:
     """One cascade from ``seed``: a one-row ensemble with its trace."""
-    if not 0 <= seed < cal.net.n_nodes:
-        raise InputError(f"unknown seed node index {seed}")
-    return _cascades(cal, np.array([seed]), trace=[])
+    return _cascades(cal, _one_seed(cal, seed), trace=[])
 
 
 def run_ensemble(cal: CalibratedNetwork) -> CascadeEnsemble:

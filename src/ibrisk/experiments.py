@@ -64,7 +64,7 @@ def evaluate_point(
     ensemble = run_ensemble(cal)
     _, delta = conditional_default_matrix(ensemble)
     node_risk, system_risk = cascade_risk(delta, n)
-    if np.sum(cal.strengths.out_strength) > 0:
+    if cal.net.n_edges:
         dr_nodes, dr_avg = debtrank_metric(ensemble, cal.strengths)
     else:  # edgeless network: no economic value at risk
         dr_nodes, dr_avg = np.zeros(n), 0.0

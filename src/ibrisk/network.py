@@ -286,9 +286,12 @@ def _by_line(lines: Iterable[str], lineno: int, source: str, index: dict[str, in
 def _blocks(lines):
     """``lines``, a text file or any other iterable of lines, in blocks
     ``(text, chunk)`` of whole lines: ``text`` ends each by its only
-    newline, or is None when a line of the list ``chunk`` holds another."""
+    newline, or is None when a line of the list ``chunk`` holds another.
+    A file's CRLF and lone CR become newlines, as ``open`` makes them."""
     if isinstance(lines, io.TextIOBase):
         while block := lines.read(READ_BLOCK) + lines.readline():
+            if "\r" in block:
+                block = block.replace("\r\n", "\n").replace("\r", "\n")
             yield (block if block[-1] == "\n" else block + "\n"), None
         return
     lines = iter(lines)

@@ -73,10 +73,12 @@ def test_cascade_seed_without_lenders(t3):
     assert outcome.steps[0] == 1
 
 
-def test_cascade_unknown_seed(t3):
-    cal = calibrate(t3, PARAMS)
-    with pytest.raises(InputError):
-        run_cascade(cal, 7)
+@pytest.mark.parametrize("run", [run_cascade, compute_rescue_payouts], ids=lambda run: run.__name__)
+@pytest.mark.parametrize("seed", [3, -1])
+def test_cascade_unknown_seed(t3, seed, run):
+    cal = calibrate(t3, PARAMS_FUND)
+    with pytest.raises(InputError, match=f"unknown seed node index {seed}"):
+        run(cal, seed)
 
 
 def test_ensemble_default_sets(t3):
@@ -166,11 +168,13 @@ def test_fund_path_matches_oracle_property(net, eta, alpha):
     cal = calibrate(net, CalibrationParams(beta=10.0, eta=eta, alpha=alpha))
     for seed in range(net.n_nodes):
         engine = run_cascade(cal, seed)
-        payouts = None
-        if alpha > 0.0:
-            payouts = naive_payouts(loans, cal.fund_contribution.tolist(), seed)
+        payouts = naive_payouts(loans, cal.fund_contribution.tolist(), seed)
+        expected = np.zeros(net.n_nodes)
+        expected[list(payouts)] = list(payouts.values())
+        assert compute_rescue_payouts(cal, seed).tobytes() == expected.tobytes()
         h, defaulted, steps = naive_cascade(
-            net.n_nodes, loans, cal.reserve.tolist(), seed, payouts=payouts
+            net.n_nodes, loans, cal.reserve.tolist(), seed,
+            payouts=payouts if alpha > 0.0 else None,
         )
         assert engine.final_distress[0].tolist() == h
         assert _defaults(engine) == defaulted

@@ -537,6 +537,10 @@ def test_mutated_trades_match_per_record_loop(tmp_path_factory, data, chunk, blo
         assert caplog.messages == [
             warning.replace("<stream>", str(path), 1) for warning in expected_warnings
         ]
+        # A handle that keeps CRLF and lone CR splits lines as ingest_file does.
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as handle:
+            raw = outcome(ingest_transactions, handle, str(path))
+        assert trade_bits(raw) == trade_bits(from_file)
         patch.setattr(network, "_plain_chunk", lambda *args: None)
         assert trade_bits(trades) == trade_bits(outcome(ingest_transactions, lines))
         assert trade_bits(from_file) == trade_bits(outcome(ingest_transactions, lines, str(path)))
