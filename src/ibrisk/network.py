@@ -289,7 +289,10 @@ def _blocks(lines):
     newline, or is None when a line of the list ``chunk`` holds another.
     A file's CRLF and lone CR become newlines, as ``open`` makes them."""
     if isinstance(lines, io.TextIOBase):
-        while block := lines.read(READ_BLOCK) + lines.readline():
+        rest = ""  # readline may stop at the CR of a CRLF: its LF joins that block
+        while block := rest + lines.read(READ_BLOCK) + lines.readline():
+            rest = lines.read(1) if block[-1] == "\r" else ""
+            block, rest = (block + rest, "") if rest == "\n" else (block, rest)
             if "\r" in block:
                 block = block.replace("\r\n", "\n").replace("\r", "\n")
             yield (block if block[-1] == "\n" else block + "\n"), None

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ibrisk import (
@@ -153,7 +153,9 @@ def small_networks(draw, max_nodes=5, amounts=st.floats(0.5, 10.0)):
 
 
 # A tiny eta can overflow loss / reserve to an infinite weight, which
-# the cap at 1 handles like a zero reserve; the oracle agrees.
+# the cap at 1 handles like a zero reserve; the oracle agrees. The
+# 40-node example sums a pool long enough that pairwise summation
+# would change its bits.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(
@@ -161,6 +163,7 @@ def small_networks(draw, max_nodes=5, amounts=st.floats(0.5, 10.0)):
     eta=st.floats(0.0, 0.2),
     alpha=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
 )
+@example(net=generate_synthetic(SyntheticSpec(n_nodes=40)), eta=0.05, alpha=0.01)
 def test_fund_path_matches_oracle_property(net, eta, alpha):
     # alpha = 0 empties the fund: the cascade is the oracle's without
     # payouts, so no separate fund switch is needed.
@@ -181,9 +184,10 @@ def test_fund_path_matches_oracle_property(net, eta, alpha):
         assert engine.steps[0] == steps
 
 
-# The kernel sweeps blocks of BLOCK_CELLS cells (here 1-3 seed rows)
-# and scatters a round in pieces of whole frontier pairs cut every
-# SCATTER_PIECE fired edges; tiny values split both inside a round,
+# The kernel sweeps blocks of BLOCK_CELLS cells (here 1-3 seed rows),
+# gathers edges in chunks of CHUNK slots (1-5, padded to the width) and
+# scatters a round in pieces of whole frontier pairs cut every
+# SCATTER_PIECE fired slots; tiny values split both inside a round,
 # which must not change a single bit.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=150, deadline=None)
@@ -193,12 +197,14 @@ def test_fund_path_matches_oracle_property(net, eta, alpha):
     alpha=st.sampled_from([0.0, 0.5, 1.0]),
     block=st.integers(1, 3),
     piece=st.integers(1, 3),
+    chunk=st.integers(1, 5),
 )
-def test_ensemble_matches_oracle_property(net, eta, alpha, block, piece):
+def test_ensemble_matches_oracle_property(net, eta, alpha, block, piece, chunk):
     cal = calibrate(net, CalibrationParams(beta=10.0, eta=eta, alpha=alpha))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(contagion, "BLOCK_CELLS", block * net.n_nodes)
         patch.setattr(contagion, "SCATTER_PIECE", piece)
+        patch.setattr(contagion, "CHUNK", chunk)
         ens = run_ensemble(cal)
     assert ens.final_distress.shape == ens.defaulted.shape == (net.n_nodes, net.n_nodes)
     loans = loans_of(net)
@@ -213,7 +219,7 @@ def test_ensemble_matches_oracle_property(net, eta, alpha, block, piece):
 
 
 # Hub 0 borrows from lenders 1-4, so with pieces cut every 2 fired
-# edges its pair is wider than a piece. Lenders 1 and 2 borrow from no
+# slots its pair is wider than a piece. Lenders 1 and 2 borrow from no
 # one: in the round after seed 0 the frontier (seed 0; nodes 1-4) opens
 # with two pairs that fire no edge, then 3 and 4 pass distress to 5.
 HUB_LOANS = {(1, 0): 4.0, (2, 0): 3.0, (3, 0): 5.0, (4, 0): 2.5, (5, 3): 6.0, (5, 4): 1.5}
@@ -227,6 +233,8 @@ def test_ensemble_hub_wider_than_piece_matches_oracle(monkeypatch, eta, alpha):
     net = network(tuple(str(k) for k in range(6)), HUB_LOANS)
     cal = calibrate(net, CalibrationParams(beta=10.0, eta=eta, alpha=alpha))
     monkeypatch.setattr(contagion, "SCATTER_PIECE", 2)
+    hub_chunks = contagion._chunk_tables(contagion.propagation_weights(cal), net.n_nodes)[1][0]
+    assert hub_chunks * contagion.CHUNK >= 2 * contagion.SCATTER_PIECE  # two pieces' worth
     ens = run_ensemble(cal)
     for seed in range(net.n_nodes):
         payouts = naive_payouts(HUB_LOANS, cal.fund_contribution.tolist(), seed)

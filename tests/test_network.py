@@ -537,10 +537,12 @@ def test_mutated_trades_match_per_record_loop(tmp_path_factory, data, chunk, blo
         assert caplog.messages == [
             warning.replace("<stream>", str(path), 1) for warning in expected_warnings
         ]
-        # A handle that keeps CRLF and lone CR splits lines as ingest_file does.
-        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as handle:
-            raw = outcome(ingest_transactions, handle, str(path))
-        assert trade_bits(raw) == trade_bits(from_file)
+        # A handle that keeps CRLF and lone CR splits lines as ingest_file
+        # does, also one whose readline stops at the CR of a CRLF.
+        for newline in ("", "\r"):
+            with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as handle:
+                raw = outcome(ingest_transactions, handle, str(path))
+            assert trade_bits(raw) == trade_bits(from_file)
         patch.setattr(network, "_plain_chunk", lambda *args: None)
         assert trade_bits(trades) == trade_bits(outcome(ingest_transactions, lines))
         assert trade_bits(from_file) == trade_bits(outcome(ingest_transactions, lines, str(path)))
@@ -589,6 +591,26 @@ def test_plain_files_never_reach_the_per_line_loop(tmp_path, monkeypatch):
         monkeypatch.setattr(network, "READ_BLOCK", block)
         assert len(network.ingest_file(trades)) == 3000
         assert read_snapshot(snapshot) == net
+
+
+# Under newline="\r" every block but the last ends at the CR of a CRLF,
+# whose LF the next read would see as a blank line.
+def test_crlf_file_read_with_cr_newline_matches_ingest_file(tmp_path, caplog):
+    lines = ["# lender,borrower,amount,date"] + [
+        f"n{k % 97:02d},m{k % 89:02d},{k + 0.5},2023-01-{k % 28 + 1:02d}" for k in range(10_000)
+    ]
+    path = tmp_path / "trades.csv"
+    for last in (lines[-1], "n01,m02,1.0"):  # a good last line, then a bad one
+        path.write_bytes("\r\n".join([*lines[:-1], last, ""]).encode())
+        assert path.read_bytes().count(b"\n") == 10_001
+        expected = outcome(network.ingest_file, path)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="ibrisk.network"):
+            with open(path, encoding="utf-8", newline="\r") as handle:
+                got = outcome(ingest_transactions, handle, str(path))
+        assert caplog.messages == []
+        assert trade_bits(got) == trade_bits(expected)
+    assert got.startswith(f"{path}:10001: ")
 
 
 def test_irregular_snapshot_reads_other_chunks_as_columns(tmp_path, monkeypatch):
