@@ -280,10 +280,14 @@ def execute_scenario(config: dict, command: str) -> str:
     default = "synth:" if command == "synth" else None
     if default and not (config["input"] or default).startswith(default):
         raise ParameterError("synth expects --input synth:k=v,... (or no input)")
-    summary = _HANDLERS[command](config, load_network(config, default), out_dir)
-    with open(out_dir / "run.cfg", "w", encoding="utf-8") as handle:
-        handle.writelines(f"{key}={_fmt(config[key])}\n" for key in sorted(config)
-                          if config[key] is not None)
+    net = load_network(config, default)
+    try:
+        summary = _HANDLERS[command](config, net, out_dir)
+        with open(out_dir / "run.cfg", "w", encoding="utf-8") as handle:
+            handle.writelines(f"{key}={_fmt(config[key])}\n" for key in sorted(config)
+                              if config[key] is not None)
+    except OSError as exc:
+        raise InputError(f"cannot write {exc.filename}: {exc.strerror}") from exc
     return summary
 
 

@@ -1,14 +1,13 @@
 """Weighted directed interbank lending networks.
 
 Ingestion of transaction edge lists, aggregation over a date window,
-strength/degree computation, validation, and snapshot file round-trips.
+strength computation, validation, and snapshot file round-trips.
 Loan amounts A[i, j] mean "node i lent this much to node j".
 """
 from __future__ import annotations
 
 import datetime as dt
 import io
-import itertools
 import logging
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -22,9 +21,8 @@ logger = logging.getLogger(__name__)
 
 # A text file is parsed in blocks of READ_BLOCK characters and the rest of
 # the last line; on 300k trades 64k peaked 3 MB below 16k and 9 MB below
-# 256k, and ran fastest. Other iterables join PARSE_CHUNK lines a block.
+# 256k, and ran fastest.
 READ_BLOCK = 65536
-PARSE_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -136,12 +134,10 @@ class FinancialNetwork:
 
 @dataclass(frozen=True)
 class NodeStrengths:
-    """Per-node lending/borrowing totals and edge counts."""
+    """Per-node lending/borrowing totals."""
 
     out_strength: np.ndarray  # total lent, S^L
     in_strength: np.ndarray  # total borrowed, S^B
-    out_degree: np.ndarray
-    in_degree: np.ndarray
 
 
 def _first(mask: np.ndarray) -> Optional[int]:
@@ -224,21 +220,18 @@ def _plain_chunk(text: str, count: int, lineno: int, index: dict[str, int], note
 
 
 def _by_line(lines: Iterable[str], lineno: int, source: str, index: dict[str, int], note,
-             ordinal: Optional[dict] = None, seen: Optional[set] = None):
+             ordinal: Optional[dict] = None):
     """Parse lines one at a time by the rules that alone define parse
     errors; raise InputError naming the first line that breaks one.
 
     Rows are trades (four fields, the last a date) given ``ordinal``, else
-    loans (three fields), whose pair may not be in ``seen`` when that is
-    given. Calls ``note(line number, stripped line)`` for each blank or
-    ``#`` line. Returns the lender and borrower codes into ``index``, the
-    amounts and the day ordinals, which are zeros for loans.
+    loans (three fields), whose pair may not repeat among ``lines``. Calls
+    ``note(line number, stripped line)`` for each blank or ``#`` line.
+    Returns the lender and borrower codes into ``index``, the amounts and
+    the day ordinals, which are zeros for loans.
     """
-    n_fields, fields_error, amount_error = (
-        (3, "expected 3 fields", "unparseable amount") if ordinal is None
-        else (4, "expected 4 fields, got {}", "unparseable amount {!r}")
-    )
-    rows = []
+    n_fields = 3 if ordinal is None else 4
+    rows, seen = [], set()
 
     def fault(message: str) -> InputError:
         return InputError(f"{source}:{lineno}: {message}")
@@ -254,14 +247,14 @@ def _by_line(lines: Iterable[str], lineno: int, source: str, index: dict[str, in
             continue
         fields = list(map(str.strip, line.split(",")))
         if len(fields) != n_fields:
-            raise fault(fields_error.format(len(fields)))
+            raise fault(f"expected {n_fields} fields, got {len(fields)}")
         lender, borrower, text = fields[:3]
         if not (lender and borrower):
             raise fault("empty node id")
         try:
             amount = float(text)
         except ValueError:
-            raise fault(amount_error.format(text)) from None
+            raise fault(f"unparseable amount {text!r}") from None
         if not 0 < amount < np.inf:
             raise fault(f"amount must be strictly positive, got {text}")
         if lender == borrower:
@@ -272,9 +265,9 @@ def _by_line(lines: Iterable[str], lineno: int, source: str, index: dict[str, in
                 day = dt.date.fromisoformat(fields[3]).toordinal()
             except ValueError:
                 raise fault(f"unparseable date {fields[3]!r}") from None
-        elif seen is not None:
-            if (lender, borrower) in seen:
-                raise fault(f"duplicate loan {lender!r}->{borrower!r}")
+        elif (lender, borrower) in seen:
+            raise fault(f"duplicate loan {lender!r}->{borrower!r}")
+        else:
             seen.add((lender, borrower))
         code = index.setdefault(lender, len(index))
         rows.append((code, index.setdefault(borrower, len(index)), amount, day))
@@ -283,42 +276,36 @@ def _by_line(lines: Iterable[str], lineno: int, source: str, index: dict[str, in
     return lender.astype(np.int64), borrower.astype(np.int64), amount, day.astype(np.int64)
 
 
-def _blocks(lines):
-    """``lines``, a text file or any other iterable of lines, in blocks
-    ``(text, chunk)`` of whole lines: ``text`` ends each by its only
-    newline, or is None when a line of the list ``chunk`` holds another.
-    A file's CRLF and lone CR become newlines, as ``open`` makes them."""
-    if isinstance(lines, io.TextIOBase):
-        rest = ""  # readline may stop at the CR of a CRLF: its LF joins that block
-        while block := rest + lines.read(READ_BLOCK) + lines.readline():
-            rest = lines.read(1) if block[-1] == "\r" else ""
-            block, rest = (block + rest, "") if rest == "\n" else (block, rest)
-            if "\r" in block:
-                block = block.replace("\r\n", "\n").replace("\r", "\n")
-            yield (block if block[-1] == "\n" else block + "\n"), None
-        return
-    lines = iter(lines)
-    while chunk := list(itertools.islice(lines, PARSE_CHUNK)):
-        text = "\n".join([line.removesuffix("\n") for line in chunk]) + "\n"
-        yield (text if text.count("\n") == len(chunk) else None), chunk
+def _blocks(handle: io.TextIOBase):
+    """A text file in blocks of whole lines, each ended by its only
+    newline. CRLF and lone CR become newlines, as ``open`` makes them."""
+    rest = ""  # readline may stop at the CR of a CRLF: its LF joins that block
+    while block := rest + handle.read(READ_BLOCK) + handle.readline():
+        rest = handle.read(1) if block[-1] == "\r" else ""
+        block, rest = (block + rest, "") if rest == "\n" else (block, rest)
+        if "\r" in block:
+            block = block.replace("\r\n", "\n").replace("\r", "\n")
+        yield block if block[-1] == "\n" else block + "\n"
 
 
-def _columns(lines, source: str, note, ordinal: Optional[dict] = None,
-             seen: Optional[set] = None):
-    """Parse the blocks of :func:`_blocks`, each with text as columns by
-    :func:`_plain_chunk` unless ``seen`` is given, else one line at a time
-    by :func:`_by_line`. Returns the ids in first-appearance order and the
-    lender, borrower, amount and day columns of every row, read-only.
+def _columns(lines, source: str, note, ordinal: Optional[dict] = None):
+    """Parse a text file by the blocks of :func:`_blocks`, each as columns
+    by :func:`_plain_chunk` or else one line at a time by :func:`_by_line`;
+    any other iterable of lines goes to :func:`_by_line` whole. Returns the
+    ids in first-appearance order and the lender, borrower, amount and day
+    columns of every row, read-only.
     """
     index: dict[str, int] = {}
     columns = [(_NO_ROWS, _NO_ROWS, np.empty(0), _NO_ROWS)]
-    lineno = 1
-    for text, chunk in _blocks(lines):
-        count = len(chunk) if chunk else text.count("\n")
-        parsed = seen is None and text and _plain_chunk(text, count, lineno, index, note, ordinal)
-        columns.append(parsed or _by_line(
-            chunk or text.split("\n")[:-1], lineno, source, index, note, ordinal, seen))
-        lineno += count
+    if isinstance(lines, io.TextIOBase):
+        lineno = 1
+        for text in _blocks(lines):
+            count = text.count("\n")
+            columns.append(_plain_chunk(text, count, lineno, index, note, ordinal) or _by_line(
+                text.split("\n")[:-1], lineno, source, index, note, ordinal))
+            lineno += count
+    else:
+        columns.append(_by_line(lines, 1, source, index, note, ordinal))
     arrays = [np.concatenate(column) for column in zip(*columns)]
     for array in arrays:
         array.flags.writeable = False
@@ -396,17 +383,14 @@ def aggregate_window(
 
 
 def node_strengths(net: FinancialNetwork) -> NodeStrengths:
-    """Out/in strengths (total lent/borrowed) and degrees per node.
+    """Out/in strengths (total lent/borrowed) per node.
 
     Each strength is summed one loan at a time in the network's canonical
     (lender, borrower) order, so its bits do not depend on input order.
     """
     n = net.n_nodes
-    out_s = np.bincount(net.lender, weights=net.amount, minlength=n)
-    in_s = np.bincount(net.borrower, weights=net.amount, minlength=n)
-    out_k = np.bincount(net.lender, minlength=n)
-    in_k = np.bincount(net.borrower, minlength=n)
-    return NodeStrengths(out_s, in_s, out_k, in_k)
+    return NodeStrengths(np.bincount(net.lender, weights=net.amount, minlength=n),
+                         np.bincount(net.borrower, weights=net.amount, minlength=n))
 
 
 def validate_network(net: FinancialNetwork) -> tuple[str, ...]:
@@ -430,9 +414,8 @@ def write_snapshot(net: FinancialNetwork, path) -> None:
         ))
 
 
-def _snapshot_from_lines(lines: Iterable[str], source: str, seen=None) -> FinancialNetwork:
-    """Parse and check snapshot lines; see :func:`read_snapshot`. Without
-    ``seen``, the constructor finds a repeated pair."""
+def _snapshot_from_lines(lines: Iterable[str], source: str) -> FinancialNetwork:
+    """Parse and check snapshot lines; see :func:`read_snapshot`."""
     declared: dict[str, None] = {}
     headers = []
 
@@ -445,7 +428,7 @@ def _snapshot_from_lines(lines: Iterable[str], source: str, seen=None) -> Financ
         elif line.startswith("# nodes="):
             headers.append((lineno, line))
 
-    ids, lender, borrower, amount, _ = _columns(lines, source, note, seen=seen)
+    ids, lender, borrower, amount, _ = _columns(lines, source, note)
     position = {node: k for k, node in enumerate(dict.fromkeys([*declared, *ids]))}
     remap = np.array([position[name] for name in ids], dtype=np.int64)
     net = FinancialNetwork(tuple(position), remap[lender], remap[borrower], amount)
@@ -466,12 +449,14 @@ def read_snapshot(path) -> FinancialNetwork:
     borrower) pair may appear twice, and a ``# nodes=N edges=E`` header
     must match the body. Violations raise an error naming the line.
     The file is read once by :func:`_columns`, like trades; only after a
-    fault is it read again one line at a time, which names the earliest.
+    fault is it read again, as a generator of its lines, one line at a
+    time, which names the earliest.
     """
     try:
         return _parse_file(path, _snapshot_from_lines)
     except InputError:
-        return _parse_file(path, lambda lines, source: _snapshot_from_lines(lines, source, set()))
+        return _parse_file(path, lambda handle, source: _snapshot_from_lines(
+            (line for line in handle), source))
 
 
 def is_snapshot_file(path) -> bool:

@@ -156,10 +156,13 @@ CYCLE_1E308 = "a,b,1e308\nb,c,1e308\nc,a,1e308\n"
 # (command and flags, input, exit code, expected stderr). The input is
 # a file body (text, or bytes that need not be UTF-8), an inline synth:
 # spec, or None for the t3 edge list; "{input}" in the message stands
-# for the input path, and "{config}" in a flag or the message for a
-# config file holding the case's line of CONFIG_LINES (text, or bytes).
+# for the input path, "{config}" in a flag or the message for a config
+# file holding the case's line of CONFIG_LINES (text, or bytes), and
+# "{out}" for the output directory, where a directory named in TAKEN
+# stands in the way of a file the command writes.
 CONFIG_LINES = {"unknown-config-key": "etta=0.1\n", "bad-config-bool": "trace=treu\n",
                 "non-utf8-config": b"eta=0.1\xff\n"}
+TAKEN = {"risk-csv-taken": "risk.csv", "run-cfg-taken": "run.cfg"}
 ERROR_CASES = {
     "nan-amount": (
         ["risk"], "# nodes=3 edges=3\n" + NODES_ABC + "a,b,nan\nb,c,-5.0\nc,c,1.0\n",
@@ -295,6 +298,13 @@ ERROR_CASES = {
         ["ingest"], "# lender,borrower,amount,date\n",
         InputError.exit_code, "error: the input holds no trades",
     ),
+    "risk-csv-taken": (
+        ["risk"], None, InputError.exit_code, "error: cannot write {out}/risk.csv: Is a directory",
+    ),
+    "run-cfg-taken": (
+        ["synth"], "synth:n_nodes=8",
+        InputError.exit_code, "error: cannot write {out}/run.cfg: Is a directory",
+    ),
     "roi-zero-balance": (
         ["roi"], "# nodes=3 edges=1\n" + NODES_ABC + "a,b,5.0\n",
         ParameterError.exit_code, "node 'c' has zero balance; ROI undefined",
@@ -318,11 +328,14 @@ def test_error_exit_codes(case, t3_file, tmp_path, capsys):
     lines = CONFIG_LINES.get(case, "")
     config.write_bytes(lines if isinstance(lines, bytes) else lines.encode())
     flags = [str(flag).format(config=config) for flag in command[1:]]
-    code = run_cli([command[0], "--input", source, *flags, "--out", tmp_path / "o"])
+    out = tmp_path / "o"
+    if case in TAKEN:
+        (out / TAKEN[case]).mkdir(parents=True)
+    code = run_cli([command[0], "--input", source, *flags, "--out", out])
     err = capsys.readouterr().err
     assert code == expected_code
     assert err.count("\n") == 1, err  # one line, no traceback
-    assert message.format(input=source, config=config) in err
+    assert message.format(input=source, config=config, out=out) in err
 
 
 def test_every_flag_has_help():

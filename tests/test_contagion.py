@@ -311,7 +311,7 @@ def test_relabelling_permutes_delta_and_strengths(net, eta, alpha, data):
     assert named(relabelled) == named(net)
     params = CalibrationParams(beta=10.0, eta=eta, alpha=alpha)
     base, moved = calibrate(net, params), calibrate(relabelled, params)
-    for name in ("out_strength", "in_strength", "out_degree", "in_degree"):
+    for name in ("out_strength", "in_strength"):
         moved_values, values = getattr(moved.strengths, name), getattr(base.strengths, name)
         assert moved_values[perm].tolist() == values.tolist()
     _, delta = conditional_default_matrix(run_ensemble(base))
@@ -357,6 +357,9 @@ def test_monotone_in_eta():
     etas=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.2)), min_size=3, max_size=3),
     alphas=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=3, max_size=3),
 )
+# 56 of its 60 seeds are rationed, and delta moves with both eta and alpha.
+@example(net=generate_synthetic(SyntheticSpec(n_nodes=60)), etas=[0.002, 0.01, 0.005],
+         alphas=[0.001, 0.01, 0.003])
 def test_delta_nonincreasing_in_alpha_and_eta_property(net, etas, alphas):
     def outcome(eta, alpha):
         ensemble = run_ensemble(calibrate(net, CalibrationParams(10.0, eta, alpha)))

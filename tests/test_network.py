@@ -104,8 +104,6 @@ def test_strengths_t3(t3):
     s = node_strengths(t3)
     assert s.out_strength.tolist() == [0.0, 8.0, 6.0]
     assert s.in_strength.tolist() == [8.0, 6.0, 0.0]
-    assert s.out_degree.tolist() == [0, 1, 1]
-    assert s.in_degree.tolist() == [1, 1, 0]
 
 
 def test_strengths_single_edge():
@@ -314,7 +312,6 @@ def trade_streams(draw):
     return lines
 
 
-# Tiny chunks put bad lines and blank lines on chunk boundaries.
 @settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -322,13 +319,11 @@ def trade_streams(draw):
     lines=trade_streams(),
     start=st.sampled_from([None, dt.date(2020, 1, 2), dt.date(2020, 1, 3)]),
     end=st.sampled_from([None, dt.date(2020, 1, 2), dt.date(2020, 1, 4)]),
-    chunk=st.sampled_from([1, 2, 3, network.PARSE_CHUNK]),
 )
-def test_ingest_aggregate_matches_per_record_loop(lines, start, end, chunk, caplog):
+def test_ingest_aggregate_matches_per_record_loop(lines, start, end, caplog):
     expected_warnings, expected = per_record_ingest(lines, start, end)
     caplog.clear()
-    with pytest.MonkeyPatch.context() as patch, caplog.at_level("WARNING", logger="ibrisk.network"):
-        patch.setattr(network, "PARSE_CHUNK", chunk)
+    with caplog.at_level("WARNING", logger="ibrisk.network"):
         try:
             net = aggregate_window(ingest_transactions(lines), start, end)
         except InputError as exc:
@@ -397,14 +392,14 @@ def per_record_snapshot(lines, source):
             continue
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 3:
-            return f"{where}: expected 3 fields"
+            return f"{where}: expected 3 fields, got {len(parts)}"
         lender, borrower, amount_text = parts
         if not lender or not borrower:
             return f"{where}: empty node id"
         try:
             amount = float(amount_text)
         except ValueError:
-            return f"{where}: unparseable amount"
+            return f"{where}: unparseable amount {amount_text!r}"
         if not math.isfinite(amount) or amount <= 0:
             return f"{where}: amount must be strictly positive, got {amount_text}"
         if lender == borrower:
@@ -512,20 +507,19 @@ def trade_bits(trades):
     return trades.names, *(column.tobytes() for column in columns)
 
 
-# Each chunk or block is parsed as columns or, at any doubt, one line at a
-# time by the same rules; either way the outcome is the per-record loop's.
-# Tiny blocks end reads inside lines, also between the CR and LF of a CRLF.
+# Each block of a file is parsed as columns or, at any doubt, one line at a
+# time by the same rules, and a list of lines by that loop alone; either way
+# the outcome is the per-record loop's. Tiny blocks end reads inside lines,
+# also between the CR and LF of a CRLF.
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=trade_file(), chunk=st.sampled_from([1, 2, 3, network.PARSE_CHUNK]),
-       block=st.sampled_from([1, 7, 64, network.READ_BLOCK]))
-def test_mutated_trades_match_per_record_loop(tmp_path_factory, data, chunk, block, caplog):
+@given(data=trade_file(), block=st.sampled_from([1, 7, 64, network.READ_BLOCK]))
+def test_mutated_trades_match_per_record_loop(tmp_path_factory, data, block, caplog):
     path = tmp_path_factory.getbasetemp() / "mutated-trades.csv"
     path.write_bytes(b"".join(data))
     lines = read_lines(path)
     expected_warnings, expected = per_record_ingest(lines, None, None)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(network, "PARSE_CHUNK", chunk)
         patch.setattr(network, "READ_BLOCK", block)
         caplog.clear()
         with caplog.at_level("WARNING", logger="ibrisk.network"):
