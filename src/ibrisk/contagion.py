@@ -23,6 +23,12 @@ are added in canonical (source, target) edge order, one at a time, so
 every cascade keeps the bits of a per-edge sequential transcription of
 the update.
 
+With no reserve (eta = 0) the result is fixed in advance: the fund,
+alpha times the reserve, is empty and every weight is +inf, so a fired
+edge defaults its target. A row is 1.0 on its seed's reachable set and
+0.0 elsewhere, its steps 1 + the largest hop distance of a reached node
+with lenders (at least 1): a breadth-first closure on packed bitsets.
+
 One driver builds every result, a CascadeEnsemble with one row per
 seed: run_ensemble seeds every node, and run_cascade seeds one node and
 also keeps the distress after each round.
@@ -38,10 +44,11 @@ from .calibration import CalibratedNetwork, PropagationWeights, edge_weights, pr
 from .errors import InputError, InvariantError
 
 DEFAULT_TOLERANCE = 1e-12  # slack below 1.0 still counted as default
-# Peak memory depends on these, not on N squared: the kernel sweeps
+# Peak kernel memory depends on these, not on N squared: a sweep takes
 # blocks of about BLOCK_CELLS (seed, node) cells, at least one seed's
-# row, and scatters a round's increments in pieces of whole frontier
-# pairs, at most SCATTER_PIECE + N + CHUNK - 2 fired slots.
+# row, and scatters in pieces of whole frontier pairs, at most
+# SCATTER_PIECE + N + CHUNK - 2 fired slots (at zero reserve, gathers of
+# BLOCK_CELLS * N / 8 bytes, beside N * N / 8 bytes of lender bits).
 BLOCK_CELLS = 65536
 SCATTER_PIECE = 16384
 CHUNK = 4
@@ -52,7 +59,7 @@ class CascadeEnsemble:
     """One full-distress cascade per seed, one row each."""
 
     final_distress: np.ndarray  # (seeds x nodes)
-    steps: np.ndarray  # rounds per seed, at least 1
+    steps: np.ndarray  # per seed the last round in which the row fired an edge, at least 1
     defaulted: np.ndarray  # bool (seeds x nodes); each seed counts as defaulted
     # (seeds x nodes) distress before the first round and after each
     # round that fired an edge; recorded by run_cascade only.
@@ -112,6 +119,7 @@ def _chunk_tables(weights: PropagationWeights, n: int) -> tuple[np.ndarray, ...]
     return first, count, *(x.reshape(-1, CHUNK) for x in (target, loss, weight))
 
 
+@np.errstate(over="ignore")  # only a scatter sum can overflow: inf, capped to 1
 def _sweep_block(h: np.ndarray, seeds: np.ndarray, cal: CalibratedNetwork,
                  tables: tuple[np.ndarray, ...], trace: Optional[list]) -> np.ndarray:
     """Run the cascades of ``seeds`` in the zeroed rows of ``h``; return rounds.
@@ -173,6 +181,40 @@ def _sweep_block(h: np.ndarray, seeds: np.ndarray, cal: CalibratedNetwork,
     return steps
 
 
+def _lender_words(cal: CalibratedNetwork) -> np.ndarray:
+    """(words x nodes) uint64, column i the bitset of node i's lenders."""
+    lender, n = cal.net.lender, cal.net.n_nodes
+    bits = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)  # lender j: bit j % 8 of byte j // 8
+    np.bitwise_or.at(bits, (cal.net.borrower, lender >> 3), (1 << (lender & 7)).astype(np.uint8))
+    return bits.view(np.uint64).T.copy()
+
+
+def _reach_block(h: np.ndarray, seeds: np.ndarray, cal: CalibratedNetwork,
+                 words: np.ndarray, trace: Optional[list]) -> np.ndarray:
+    """Zero-reserve cascades of ``seeds`` in the zeroed rows of ``h``; return rounds."""
+    b, n = h.shape
+    unpack = lambda w: np.unpackbits(w.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+    seen = np.zeros((b, len(words)), dtype=np.uint64)  # per row the reached nodes' bits
+    seen.view(np.uint8)[np.arange(b), seeds >> 3] = 1 << (seeds & 7)
+    steps, fresh, rows = np.ones(b, dtype=np.int64), seen, np.arange(b)
+    for rounds in range(1, n + 2):  # round r fires from hop distance r - 1 < n
+        if trace is not None:
+            trace.append(unpack(seen).astype(float))
+        # Fire last round's new nodes that have lenders (positive in-strength):
+        # OR their lender words per row, gathered along each word's nodes.
+        front, nodes = np.divmod(np.flatnonzero(unpack(fresh) & (cal.strengths.in_strength > 0)), n)
+        if not nodes.size:
+            break
+        starts = np.flatnonzero(np.diff(front, prepend=-1))
+        rows = rows[front[starts]]
+        steps[rows] = rounds
+        fresh = np.bitwise_or.reduceat(np.take(words, nodes, axis=1), starts, axis=1)
+        fresh = np.ascontiguousarray(fresh.T) & ~seen[rows]
+        seen[rows] |= fresh
+    h[...] = unpack(seen)
+    return steps
+
+
 def _cascades(cal: CalibratedNetwork, seeds: np.ndarray,
               trace: Optional[list] = None) -> CascadeEnsemble:
     """Cascades from ``seeds``, one row each.
@@ -183,13 +225,15 @@ def _cascades(cal: CalibratedNetwork, seeds: np.ndarray,
     n = cal.net.n_nodes
     if n < 2:
         raise InputError("cascade needs at least 2 nodes")
-    tables = _chunk_tables(propagation_weights(cal), n)
+    reach = not cal.reserve.any()  # see the module docstring
+    kernel = _reach_block if reach else _sweep_block
+    tables = _lender_words(cal) if reach else _chunk_tables(propagation_weights(cal), n)
     h = np.zeros((len(seeds), n))
     steps = np.empty(len(seeds), dtype=np.int64)
     rows = max(1, BLOCK_CELLS // n)
     for lo in range(0, len(seeds), rows):
         hi = min(lo + rows, len(seeds))
-        steps[lo:hi] = _sweep_block(h[lo:hi], seeds[lo:hi], cal, tables, trace)
+        steps[lo:hi] = kernel(h[lo:hi], seeds[lo:hi], cal, tables, trace)
     # A seed starts at 1 and distress never falls, so it counts as defaulted.
     return CascadeEnsemble(
         final_distress=h,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -156,7 +158,6 @@ def small_networks(draw, max_nodes=5, amounts=st.floats(0.5, 10.0)):
 # the cap at 1 handles like a zero reserve; the oracle agrees. The
 # 40-node example sums a pool long enough that pairwise summation
 # would change its bits.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(
     net=small_networks(),
@@ -189,7 +190,6 @@ def test_fund_path_matches_oracle_property(net, eta, alpha):
 # scatters a round in pieces of whole frontier pairs cut every
 # SCATTER_PIECE fired slots; tiny values split both inside a round,
 # which must not change a single bit.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(
     net=small_networks(max_nodes=7),
@@ -283,12 +283,97 @@ def _bfs_depths(net, seed):
 @given(net=small_networks(max_nodes=7), alpha=st.sampled_from([0.0, 0.5, 1.0]))
 def test_eta_zero_defaults_reachable_set(net, alpha):
     # No reserve: any positive loss defaults the lender, and the fund
-    # (a share of the reserve) is empty.
+    # (a share of the reserve) is empty. A row fires edges in round d + 1
+    # from each reached node at hop distance d that has lenders, and
+    # counts at least one round.
     ens = run_ensemble(calibrate(net, CalibrationParams(beta=10.0, eta=0.0, alpha=alpha)))
+    borrowers = set(net.borrower.tolist())
     for seed in range(net.n_nodes):
         depth = _bfs_depths(net, seed)
         assert set(np.flatnonzero(ens.defaulted[seed]).tolist()) == set(depth)
-        assert ens.steps[seed] <= 1 + max(depth.values())
+        assert set(ens.final_distress[seed].tolist()) <= {0.0, 1.0}
+        assert ens.steps[seed] == max([1] + [1 + d for node, d in depth.items() if node in borrowers])
+
+
+def _swept(cal, seeds, trace=None):
+    """final_distress and steps of ``seeds`` from the edge-by-edge kernel,
+    swept in blocks of BLOCK_CELLS cells as ``_cascades`` does, whatever
+    the reserves."""
+    n = cal.net.n_nodes
+    tables = contagion._chunk_tables(contagion.propagation_weights(cal), n)
+    h = np.zeros((len(seeds), n))
+    rows = max(1, contagion.BLOCK_CELLS // n)
+    steps = [contagion._sweep_block(h[lo:lo + rows], seeds[lo:lo + rows], cal, tables, trace)
+             for lo in range(0, len(seeds), rows)]
+    return h, np.concatenate(steps)
+
+
+# With no reserve the reachability closure replaces the edge-by-edge
+# kernel, which must give the same bits: 130 nodes take three 64-bit
+# words per bitset, and the hub network has seeds without lenders.
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("cells", [lambda n: 1, lambda n: 7 * n, None],
+                         ids=["cells1", "cells7n", "default"])
+@pytest.mark.parametrize("net", [
+    generate_synthetic(SyntheticSpec(n_nodes=60)),
+    generate_synthetic(SyntheticSpec(n_nodes=130)),
+    network(tuple(str(k) for k in range(6)), HUB_LOANS),
+], ids=["synth60", "synth130", "hub"])
+def test_zero_reserve_closure_matches_sweep(monkeypatch, net, cells, alpha):
+    n = net.n_nodes
+    if cells is not None:
+        monkeypatch.setattr(contagion, "BLOCK_CELLS", cells(n))
+    cal = calibrate(net, CalibrationParams(10.0, 0.0, alpha))
+    ens = run_ensemble(cal)
+    h, steps = _swept(cal, np.arange(n))
+    assert ens.final_distress.tobytes() == h.tobytes()
+    assert ens.steps.tolist() == steps.tolist()
+    assert ens.defaulted.tolist() == (h >= 1.0 - contagion.DEFAULT_TOLERANCE).tolist()
+    for seed in range(0, n, 7):
+        one, trace = run_cascade(cal, seed), []
+        _swept(cal, np.array([seed]), trace)
+        assert [x.tobytes() for x in one.trace] == [x.tobytes() for x in trace]
+
+
+@pytest.mark.parametrize("eta, used, unused", [
+    (0.0, "_reach_block", "_sweep_block"),
+    (0.005, "_sweep_block", "_reach_block"),
+])
+def test_kernel_chosen_by_reserves(monkeypatch, eta, used, unused):
+    calls = []
+
+    def spy(name):
+        kernel = getattr(contagion, name)
+
+        def run(*args):
+            calls.append(name)
+            return kernel(*args)
+        monkeypatch.setattr(contagion, name, run)
+
+    spy(used)
+    spy(unused)
+    cal = calibrate(generate_synthetic(SyntheticSpec(n_nodes=60)), CalibrationParams(10.0, eta, 0.01))
+    run_ensemble(cal)
+    run_cascade(cal, 0)
+    assert calls and set(calls) == {used}
+
+
+# At eta 1e-310 the reserves are subnormal and loss / reserve overflows
+# to inf; a cell's sum of infinite increments overflows in the scatter,
+# which is capped to 1 like any sum past it and must raise no warning.
+def test_tiny_eta_scatter_overflow_is_silent():
+    net = generate_synthetic(SyntheticSpec(n_nodes=50))
+    cal = calibrate(net, CalibrationParams(10.0, 1e-310, 0.01))
+    assert cal.reserve.all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ens = run_ensemble(cal)
+    loans = loans_of(net)
+    for seed in range(net.n_nodes):
+        payouts = naive_payouts(loans, cal.fund_contribution.tolist(), seed)
+        h, _, steps = naive_cascade(net.n_nodes, loans, cal.reserve.tolist(), seed, payouts=payouts)
+        assert ens.final_distress[seed].tolist() == h
+        assert ens.steps[seed] == steps
 
 
 # Integer amounts sum exactly in any order, so relabelling the nodes
@@ -350,7 +435,6 @@ def test_monotone_in_eta():
 # iso_curve's bisection assumes cascade risk never rises with alpha;
 # per node, neither a larger fund nor a larger reserve may add a default,
 # and no seed's run may gain a defaulted node.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(
     net=small_networks(max_nodes=7),
