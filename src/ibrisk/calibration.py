@@ -116,6 +116,6 @@ def calibrate(net: FinancialNetwork, params: CalibrationParams) -> CalibratedNet
 def propagation_weights(cal: CalibratedNetwork) -> PropagationWeights:
     """One propagation edge per loan, reversed relative to the loan."""
     net = cal.net
-    order = np.lexsort((net.lender, net.borrower))
+    order = np.argsort(net.borrower * net.n_nodes + net.lender)  # loans are unique pairs
     src, dst, loss = net.borrower[order], net.lender[order], net.amount[order]
     return PropagationWeights(src, dst, loss, edge_weights(loss, cal.reserve[dst]))

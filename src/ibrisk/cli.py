@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import datetime as dt
 import logging
+import re
 import sys
 from pathlib import Path
 
@@ -72,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ibrisk",
         description="Interbank cascade-risk simulation with a Pigouvian rescue fund",
     )
+    parser._negative_number_matcher = re.compile(r"-\.?\d")  # -1e-3 is a value, not a flag
     parser.add_argument("command", choices=COMMANDS, help="what to run")
     parser.add_argument("--config", help="key=value file of the parameters below; flags win")
     for key, (default, text) in _OPTIONS.items():

@@ -31,7 +31,10 @@ with lenders (at least 1): a breadth-first closure on packed bitsets.
 
 One driver builds every result, a CascadeEnsemble with one row per
 seed: run_ensemble seeds every node, and run_cascade seeds one node and
-also keeps the distress after each round.
+also keeps the distress after each round. Without a trace, a seed with
+no lenders or whose lenders the fund pays in full (each first-round
+loss is loss - loss * 1.0 = +0.0, of weight 0.0) fires nothing: the
+driver sets its row to 1.0 at the seed, +0.0 elsewhere, in 1 step.
 """
 from __future__ import annotations
 
@@ -120,9 +123,9 @@ def _chunk_tables(weights: PropagationWeights, n: int) -> tuple[np.ndarray, ...]
 
 
 @np.errstate(over="ignore")  # only a scatter sum can overflow: inf, capped to 1
-def _sweep_block(h: np.ndarray, seeds: np.ndarray, cal: CalibratedNetwork,
+def _sweep_block(h: np.ndarray, seeds: np.ndarray, ratio: np.ndarray, cal: CalibratedNetwork,
                  tables: tuple[np.ndarray, ...], trace: Optional[list]) -> np.ndarray:
-    """Run the cascades of ``seeds`` in the zeroed rows of ``h``; return rounds.
+    """Run the cascades of ``seeds`` at fund ``ratio`` in the zeroed rows of ``h``; return rounds.
 
     The frontier holds the (row, node) pairs whose distress turned
     positive in the previous round, as ascending flat ``row * N + node``
@@ -136,7 +139,6 @@ def _sweep_block(h: np.ndarray, seeds: np.ndarray, cal: CalibratedNetwork,
     """
     b, n = h.shape
     first, count, target_of, loss_of, weight_of = tables
-    ratio = _fund_ratios(cal, seeds)
     flat = h.reshape(-1)  # a view: h is a C-contiguous block of rows
     front = np.arange(b) * n + seeds
     flat[front] = 1.0
@@ -157,8 +159,9 @@ def _sweep_block(h: np.ndarray, seeds: np.ndarray, cal: CalibratedNetwork,
             raise InvariantError("cascade failed to terminate")
         steps[rows[counts > 0]] = rounds  # rows fire in a prefix of the rounds
         shift = first[nodes] - (ends - counts)  # chunk id minus position among fired chunks
+        del front, nodes  # free them: a dense block's frontier can span most of its cells
         cut = np.flatnonzero(np.diff((ends * CHUNK - 1) // SCATTER_PIECE)) + 1
-        for lo, hi in zip([0, *cut.tolist()], [*cut.tolist(), len(front)]):
+        for lo, hi in zip([0, *cut.tolist()], [*cut.tolist(), len(counts)]):
             fired = counts[lo:hi]
             chunk = np.arange(ends[lo] - fired[0], ends[hi - 1]) + np.repeat(shift[lo:hi], fired)
             slots = fired * CHUNK
@@ -189,8 +192,8 @@ def _lender_words(cal: CalibratedNetwork) -> np.ndarray:
     return bits.view(np.uint64).T.copy()
 
 
-def _reach_block(h: np.ndarray, seeds: np.ndarray, cal: CalibratedNetwork,
-                 words: np.ndarray, trace: Optional[list]) -> np.ndarray:
+def _reach_block(h: np.ndarray, seeds: np.ndarray, _ratio: np.ndarray,
+                 cal: CalibratedNetwork, words: np.ndarray, trace: Optional[list]) -> np.ndarray:
     """Zero-reserve cascades of ``seeds`` in the zeroed rows of ``h``; return rounds."""
     b, n = h.shape
     unpack = lambda w: np.unpackbits(w.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
@@ -228,12 +231,19 @@ def _cascades(cal: CalibratedNetwork, seeds: np.ndarray,
     reach = not cal.reserve.any()  # see the module docstring
     kernel = _reach_block if reach else _sweep_block
     tables = _lender_words(cal) if reach else _chunk_tables(propagation_weights(cal), n)
-    h = np.zeros((len(seeds), n))
-    steps = np.empty(len(seeds), dtype=np.int64)
     rows = max(1, BLOCK_CELLS // n)
-    for lo in range(0, len(seeds), rows):
-        hi = min(lo + rows, len(seeds))
-        steps[lo:hi] = kernel(h[lo:hi], seeds[lo:hi], cal, tables, trace)
+    ratio = np.concatenate([_fund_ratios(cal, seeds[lo:lo + rows])
+                            for lo in range(0, len(seeds), rows)])
+    live = np.flatnonzero((ratio < 1.0) & (cal.strengths.in_strength[seeds] > 0.0)
+                          | (trace is not None))
+    h = np.zeros((len(seeds), n))
+    h[np.arange(len(seeds)), seeds] = 1.0
+    steps = np.ones(len(seeds), dtype=np.int64)
+    for lo in range(0, len(live), rows):
+        pick = live[lo:lo + rows]
+        block = np.zeros((len(pick), n))
+        steps[pick] = kernel(block, seeds[pick], ratio[pick], cal, tables, trace)
+        h[pick] = block
     # A seed starts at 1 and distress never falls, so it counts as defaulted.
     return CascadeEnsemble(
         final_distress=h,

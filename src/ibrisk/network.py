@@ -85,7 +85,7 @@ class FinancialNetwork:
                 f"loan {self._pair(lender[k], borrower[k])}: amount must be finite "
                 f"and strictly positive, got {amount[k]}"
             )
-        order = np.lexsort((borrower, lender))
+        order = np.argsort(lender * n + borrower)  # keys tie only on a repeated pair
         lender, borrower, amount = lender[order], borrower[order], amount[order]
         k = _first((lender[1:] == lender[:-1]) & (borrower[1:] == borrower[:-1]))
         if k is not None:

@@ -73,6 +73,26 @@ def test_roi_outputs(t3_file, tmp_path, capsys):
     assert header == "node,roi_nominal,roi_risk_adjusted,default_prob"
 
 
+# argparse takes "-1e-3" after a flag for an option unless told that it
+# is a number; both spellings must give the same bytes.
+@pytest.mark.parametrize("value", ["-1e-3", "-1.5E+2", "-.5e1"])
+def test_negative_exponent_flag_value(value, t3_file, tmp_path):
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert run_cli(["roi", "--input", t3_file, "--roi-int", value, "--out", spaced]) == 0
+    assert run_cli(["roi", "--input", t3_file, f"--roi-int={value}", "--out", joined]) == 0
+    assert (spaced / "roi.csv").read_bytes() == (joined / "roi.csv").read_bytes()
+    for out in (spaced, joined):
+        assert f"roi_int={float(value)!r}\n" in (out / "run.cfg").read_text()
+
+
+def test_every_float_flag_takes_a_negative_exponent():
+    floats = [key for key, cast in cli._CASTS.items() if cast is float]
+    assert len(floats) == 8
+    for key in floats:
+        args = cli.build_parser().parse_args(["risk", "--" + key.replace("_", "-"), "-2e-3"])
+        assert getattr(args, key) == -2e-3
+
+
 def test_sweep_alpha_csv(t3_file, tmp_path):
     out = tmp_path / "out"
     assert run_cli(["sweep-alpha", "--input", t3_file, "--out", out]) == 0

@@ -303,7 +303,9 @@ def _swept(cal, seeds, trace=None):
     tables = contagion._chunk_tables(contagion.propagation_weights(cal), n)
     h = np.zeros((len(seeds), n))
     rows = max(1, contagion.BLOCK_CELLS // n)
-    steps = [contagion._sweep_block(h[lo:lo + rows], seeds[lo:lo + rows], cal, tables, trace)
+    steps = [contagion._sweep_block(h[lo:lo + rows], seeds[lo:lo + rows],
+                                    contagion._fund_ratios(cal, seeds[lo:lo + rows]),
+                                    cal, tables, trace)
              for lo in range(0, len(seeds), rows)]
     return h, np.concatenate(steps)
 
@@ -356,6 +358,57 @@ def test_kernel_chosen_by_reserves(monkeypatch, eta, used, unused):
     run_ensemble(cal)
     run_cascade(cal, 0)
     assert calls and set(calls) == {used}
+
+
+# A seed with no lenders, or whose lenders the fund pays in full, is
+# settled without a kernel; the rows must keep the kernel's bits. The
+# t3 examples have one seed of each kind and one rationed seed, there
+# with ratio 7 / 8, here 140 * 0.0571 / 8 = 0.99925.
+@settings(max_examples=150, deadline=None)
+@given(
+    net=small_networks(max_nodes=8),
+    eta=st.one_of(st.sampled_from([0.0, 0.1, 0.5]), st.floats(0.0, 0.5)),
+    alpha=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    cells=st.sampled_from([lambda n: 1, lambda n: 7 * n, lambda n: contagion.BLOCK_CELLS]),
+)
+@example(net=network(("1", "2", "3"), {(1, 0): 8.0, (2, 1): 6.0}), eta=0.05, alpha=1.0,
+         cells=lambda n: 1)
+@example(net=network(("1", "2", "3"), {(1, 0): 8.0, (2, 1): 6.0}), eta=0.0571, alpha=1.0,
+         cells=lambda n: 7 * n)
+def test_settled_seeds_match_sweep_property(net, eta, alpha, cells):
+    cal = calibrate(net, CalibrationParams(beta=10.0, eta=eta, alpha=alpha))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(contagion, "BLOCK_CELLS", cells(net.n_nodes))
+        ens = run_ensemble(cal)
+        h, steps = _swept(cal, np.arange(net.n_nodes))
+    assert ens.final_distress.tobytes() == h.tobytes()
+    assert ens.steps.tolist() == steps.tolist()
+    assert ens.defaulted.tolist() == (h >= 1.0 - contagion.DEFAULT_TOLERANCE).tolist()
+
+
+def test_settled_seeds_skip_the_kernel(monkeypatch):
+    rows, kernel = [], contagion._sweep_block
+
+    def spy(h, *args):
+        rows.append(len(h))
+        return kernel(h, *args)
+    monkeypatch.setattr(contagion, "_sweep_block", spy)
+    # 792 of 1,000 seeds are settled; the other 208 fill 4 blocks of at most 65 rows.
+    net = generate_synthetic(SyntheticSpec(n_nodes=1000))
+    ens = run_ensemble(calibrate(net, CalibrationParams(10.0, 0.005, 0.01)))
+    assert rows == [65, 65, 65, 13]
+    assert (ens.steps == 1).sum() == 792
+    # At alpha 1 the fund pays every seed's lenders in full: no kernel runs
+    # for the ensemble, but run_cascade keeps the kernel's two snapshots.
+    net = generate_synthetic(SyntheticSpec(n_nodes=300))
+    cal = calibrate(net, CalibrationParams(10.0, 0.05, 1.0))
+    ens = run_ensemble(cal)
+    assert rows == [65, 65, 65, 13]
+    assert ens.final_distress.tobytes() == np.eye(300).tobytes()
+    assert ens.steps.tolist() == [1] * 300
+    one = run_cascade(cal, 0)
+    assert rows[4:] == [1]
+    assert [x.tobytes() for x in one.trace] == [np.eye(300)[:1].tobytes()] * 2
 
 
 # At eta 1e-310 the reserves are subnormal and loss / reserve overflows

@@ -144,6 +144,9 @@ def test_validate_warns_on_isolated_node():
         pytest.param([0], [1], [math.nan], "strictly positive, got nan", id="nan"),
         pytest.param([0], [1], [math.inf], "strictly positive, got inf", id="inf"),
         pytest.param([2, 0, 0], [1, 1, 1], [1.0, 2.0, 3.0], "duplicate loan 'a'->'b'", id="duplicate"),
+        # Two repeated pairs: the first in (lender, borrower) order is named.
+        pytest.param([1, 1, 0, 0], [0, 0, 2, 2], [1.0, 2.0, 3.0, 4.0], "duplicate loan 'a'->'c'",
+                     id="two-duplicates"),
     ],
 )
 def test_constructor_rejects_invalid_loans(lender, borrower, amount, message):
