@@ -234,6 +234,8 @@ def cmd_roi(config: dict, net: FinancialNetwork, out_dir: Path) -> str:
 
 def _cmd_sweep(config: dict, net: FinancialNetwork, out_dir: Path, varying: str) -> str:
     grid = experiments.DEFAULT_ETA_GRID if varying == "eta" else experiments.DEFAULT_ALPHA_GRID
+    first = calibrate(net, dataclasses.replace(_params(config), **{varying: grid[0]}))
+    roi.require_positive_balance(net.nodes, first.balance)  # before any ensemble runs
     rows = experiments.sweep(net, _params(config), varying, grid, _rates(config), config["p_exo"])
     _write_csv(out_dir / "sweep.csv", _field_names(experiments.SweepRow),
                map(dataclasses.astuple, rows))

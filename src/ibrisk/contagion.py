@@ -12,6 +12,13 @@ the first-round loss on each seed->lender edge is the exposure minus
 the payout. The fund is the pool filled by the alpha tax, so it is
 empty at alpha = 0 and then pays nothing.
 
+One driver builds every result, a CascadeEnsemble with one row per
+seed: run_ensemble seeds every node, and run_cascade seeds one node and
+also keeps the distress after each round. It runs round 1, in which
+only the seeds fire, from the loans: a lender's cell is min(1, w) for
+the weight w of its loss, the per-edge 0.0 + w * 1.0 bit for bit, as
+loans are unique pairs. Rows with a distressed lender go on to a kernel.
+
 Distress never falls, so every edge fires exactly once: in the round
 after its source's distress first turns positive. One kernel runs many
 cascades together as a breadth-first frontier sweep over (seed, node)
@@ -23,18 +30,10 @@ are added in canonical (source, target) edge order, one at a time, so
 every cascade keeps the bits of a per-edge sequential transcription of
 the update.
 
-With no reserve (eta = 0) the result is fixed in advance: the fund,
-alpha times the reserve, is empty and every weight is +inf, so a fired
-edge defaults its target. A row is 1.0 on its seed's reachable set and
-0.0 elsewhere, its steps 1 + the largest hop distance of a reached node
-with lenders (at least 1): a breadth-first closure on packed bitsets.
-
-One driver builds every result, a CascadeEnsemble with one row per
-seed: run_ensemble seeds every node, and run_cascade seeds one node and
-also keeps the distress after each round. Without a trace, a seed with
-no lenders or whose lenders the fund pays in full (each first-round
-loss is loss - loss * 1.0 = +0.0, of weight 0.0) fires nothing: the
-driver sets its row to 1.0 at the seed, +0.0 elsewhere, in 1 step.
+With no reserve (eta = 0) every weight is +inf, so a fired edge
+defaults its target: a row is 1.0 on its seed, the lenders round 1
+distressed and all they reach, its steps the last round that fired an
+edge: a breadth-first closure on packed bitsets.
 """
 from __future__ import annotations
 
@@ -108,24 +107,24 @@ def compute_rescue_payouts(cal: CalibratedNetwork, seed: int) -> np.ndarray:
 
 def _chunk_tables(weights: PropagationWeights, n: int) -> tuple[np.ndarray, ...]:
     """Per node its first chunk of CHUNK slots and its number of chunks,
-    then (chunks x CHUNK) tables of target, loss and weight: each
-    source's edges in canonical order, its last chunk padded with slots
-    (source, 0, 0). A source's own cell is positive once it fires, so a
+    then (chunks x CHUNK) tables of target and weight: each source's
+    edges in canonical order, its last chunk padded with slots
+    (source, 0). A source's own cell is positive once it fires, so a
     padded slot adds 0.0 * distress = 0.0 to a positive sum: no bit moves."""
     degree = np.bincount(weights.src, minlength=n)
     count = -(-degree // CHUNK)
     first = np.cumsum(count) - count
     slot = np.arange(len(weights.src)) + (first * CHUNK - (np.cumsum(degree) - degree))[weights.src]
     target = np.repeat(np.arange(n), count * CHUNK)
-    loss, weight = np.zeros((2, target.size))
-    target[slot], loss[slot], weight[slot] = weights.dst, weights.loss, weights.weight
-    return first, count, *(x.reshape(-1, CHUNK) for x in (target, loss, weight))
+    weight = np.zeros(target.size)
+    target[slot], weight[slot] = weights.dst, weights.weight
+    return first, count, target.reshape(-1, CHUNK), weight.reshape(-1, CHUNK)
 
 
 @np.errstate(over="ignore")  # only a scatter sum can overflow: inf, capped to 1
-def _sweep_block(h: np.ndarray, seeds: np.ndarray, ratio: np.ndarray, cal: CalibratedNetwork,
-                 tables: tuple[np.ndarray, ...], trace: Optional[list]) -> np.ndarray:
-    """Run the cascades of ``seeds`` at fund ``ratio`` in the zeroed rows of ``h``; return rounds.
+def _sweep_block(h: np.ndarray, seeds: np.ndarray, tables: tuple[np.ndarray, ...],
+                 trace: Optional[list]) -> np.ndarray:
+    """Run the cascades of ``seeds`` from round 2 on in the rows of ``h``; return rounds.
 
     The frontier holds the (row, node) pairs whose distress turned
     positive in the previous round, as ascending flat ``row * N + node``
@@ -138,26 +137,22 @@ def _sweep_block(h: np.ndarray, seeds: np.ndarray, ratio: np.ndarray, cal: Calib
     distress by their slot counts.
     """
     b, n = h.shape
-    first, count, target_of, loss_of, weight_of = tables
+    first, count, target_of, weight_of = tables
     flat = h.reshape(-1)  # a view: h is a C-contiguous block of rows
-    front = np.arange(b) * n + seeds
-    flat[front] = 1.0
-    spent = flat > 0.0
-    if trace is not None:
-        trace.append(h.copy())
-    steps = np.ones(b, dtype=np.int64)
-    rounds = 0
-    while front.size:
+    spent, steps = np.zeros(flat.size, dtype=bool), np.ones(b, dtype=np.int64)
+    spent[np.arange(b) * n + seeds] = True  # the seeds fired in round 1
+    for rounds in range(2, n + 2):
+        front = np.flatnonzero((flat > 0.0) & ~spent)
+        spent[front] = True
         rows, nodes = np.divmod(front, n)
         source = flat[front]  # previous-round distress, read before any scatter
         counts = count[nodes]
-        ends = np.cumsum(counts)
-        if ends[-1] == 0:
+        if not counts.any():
             break
-        rounds += 1
         if rounds > n:
             raise InvariantError("cascade failed to terminate")
         steps[rows[counts > 0]] = rounds  # rows fire in a prefix of the rounds
+        ends = np.cumsum(counts)
         shift = first[nodes] - (ends - counts)  # chunk id minus position among fired chunks
         del front, nodes  # free them: a dense block's frontier can span most of its cells
         cut = np.flatnonzero(np.diff((ends * CHUNK - 1) // SCATTER_PIECE)) + 1
@@ -166,19 +161,12 @@ def _sweep_block(h: np.ndarray, seeds: np.ndarray, ratio: np.ndarray, cal: Calib
             chunk = np.arange(ends[lo] - fired[0], ends[hi - 1]) + np.repeat(shift[lo:hi], fired)
             slots = fired * CHUNK
             target = np.take(target_of, chunk, axis=0).reshape(-1)
-            if rounds == 1:  # only the seeds fire: their lenders get payouts
-                loss = np.take(loss_of, chunk, axis=0).reshape(-1)
-                loss = loss - loss * np.repeat(ratio[rows[lo:hi]], slots)
-                weight = edge_weights(loss, cal.reserve[target])
-            else:
-                weight = np.take(weight_of, chunk, axis=0).reshape(-1)
+            weight = np.take(weight_of, chunk, axis=0).reshape(-1)
             weight *= np.repeat(source[lo:hi], slots)
             np.add.at(flat, np.repeat(rows[lo:hi] * n, slots) + target, weight)
         # One cap per round equals a cap after every increment: the
         # increments are nonnegative, so a sum that passes 1 stays there.
         np.minimum(flat, 1.0, out=flat)
-        front = np.flatnonzero((flat > 0.0) & ~spent)
-        spent[front] = True
         if trace is not None:
             trace.append(h.copy())
     return steps
@@ -192,20 +180,20 @@ def _lender_words(cal: CalibratedNetwork) -> np.ndarray:
     return bits.view(np.uint64).T.copy()
 
 
-def _reach_block(h: np.ndarray, seeds: np.ndarray, _ratio: np.ndarray,
-                 cal: CalibratedNetwork, words: np.ndarray, trace: Optional[list]) -> np.ndarray:
-    """Zero-reserve cascades of ``seeds`` in the zeroed rows of ``h``; return rounds."""
+def _reach_block(h: np.ndarray, seeds: np.ndarray, words: np.ndarray,
+                 trace: Optional[list]) -> np.ndarray:
+    """Zero-reserve cascades of ``seeds`` from round 2 on in the rows of ``h``; return rounds."""
     b, n = h.shape
     unpack = lambda w: np.unpackbits(w.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
-    seen = np.zeros((b, len(words)), dtype=np.uint64)  # per row the reached nodes' bits
-    seen.view(np.uint8)[np.arange(b), seeds >> 3] = 1 << (seeds & 7)
-    steps, fresh, rows = np.ones(b, dtype=np.int64), seen, np.arange(b)
-    for rounds in range(1, n + 2):  # round r fires from hop distance r - 1 < n
-        if trace is not None:
-            trace.append(unpack(seen).astype(float))
-        # Fire last round's new nodes that have lenders (positive in-strength):
-        # OR their lender words per row, gathered along each word's nodes.
-        front, nodes = np.divmod(np.flatnonzero(unpack(fresh) & (cal.strengths.in_strength > 0)), n)
+    pack = lambda m: np.packbits(m, axis=1, bitorder="little").view(np.uint64)
+    fresh = np.pad(h > 0.0, ((0, 0), (0, 64 * len(words) - n)))  # bool, then bits
+    seen = pack(fresh)  # per row the reached nodes' bits
+    fresh[np.arange(b), seeds] = False  # the seeds fired in round 1
+    steps, fresh, rows = np.ones(b, dtype=np.int64), pack(fresh), np.arange(b)
+    for rounds in range(2, n + 2):  # round r fires from hop distance r - 1 < n
+        # Fire last round's new nodes that have lenders: OR their lender words
+        # per row, gathered along each word's nodes.
+        front, nodes = np.divmod(np.flatnonzero(unpack(fresh) & words.any(axis=0)), n)
         if not nodes.size:
             break
         starts = np.flatnonzero(np.diff(front, prepend=-1))
@@ -214,35 +202,50 @@ def _reach_block(h: np.ndarray, seeds: np.ndarray, _ratio: np.ndarray,
         fresh = np.bitwise_or.reduceat(np.take(words, nodes, axis=1), starts, axis=1)
         fresh = np.ascontiguousarray(fresh.T) & ~seen[rows]
         seen[rows] |= fresh
+        if trace is not None:
+            trace.append(unpack(seen).astype(float))
     h[...] = unpack(seen)
     return steps
 
 
+def _first_round(cal: CalibratedNetwork, seeds: np.ndarray, ratio: np.ndarray,
+                 trace: Optional[list]) -> tuple[np.ndarray, np.ndarray]:
+    """Distress after round 1 of the distinct ``seeds`` at fund ``ratio``,
+    and the rows in which it distressed a lender; extends ``trace``."""
+    net, n = cal.net, cal.net.n_nodes
+    row = np.full(n, -1)
+    row[seeds] = np.arange(len(seeds))
+    mine = np.flatnonzero(row[net.borrower] >= 0)  # the seeds' loans
+    row, lender, loss = row[net.borrower[mine]], net.lender[mine], net.amount[mine]
+    weight = edge_weights(loss - loss * ratio[row], cal.reserve[lender])
+    h = np.zeros((len(seeds), n))
+    h[np.arange(len(seeds)), seeds] = 1.0
+    h[row, lender] = np.minimum(1.0, weight)
+    if trace is not None:  # one seed: before round 1, and after it if it fired an edge
+        trace += [np.eye(1, n, seeds[0])] + [h.copy()] * bool(row.size)
+    return h, np.flatnonzero(np.bincount(row[weight > 0.0], minlength=len(seeds)))
+
+
 def _cascades(cal: CalibratedNetwork, seeds: np.ndarray,
               trace: Optional[list] = None) -> CascadeEnsemble:
-    """Cascades from ``seeds``, one row each.
-
-    ``trace``, passed for a single seed block, collects the distress
-    rows before the first round and after each round that fired an edge.
-    """
+    """Cascades from the distinct ``seeds``, one row each. ``trace``, passed
+    for a single seed, collects the distress rows before the first round
+    and after each round that fired an edge."""
     n = cal.net.n_nodes
     if n < 2:
         raise InputError("cascade needs at least 2 nodes")
-    reach = not cal.reserve.any()  # see the module docstring
-    kernel = _reach_block if reach else _sweep_block
-    tables = _lender_words(cal) if reach else _chunk_tables(propagation_weights(cal), n)
     rows = max(1, BLOCK_CELLS // n)
     ratio = np.concatenate([_fund_ratios(cal, seeds[lo:lo + rows])
                             for lo in range(0, len(seeds), rows)])
-    live = np.flatnonzero((ratio < 1.0) & (cal.strengths.in_strength[seeds] > 0.0)
-                          | (trace is not None))
-    h = np.zeros((len(seeds), n))
-    h[np.arange(len(seeds)), seeds] = 1.0
+    h, live = _first_round(cal, seeds, ratio, trace)
+    reach = not cal.reserve.any()  # see the module docstring
+    kernel = _reach_block if reach else _sweep_block
+    tables = _lender_words(cal) if reach else _chunk_tables(propagation_weights(cal), n)
     steps = np.ones(len(seeds), dtype=np.int64)
     for lo in range(0, len(live), rows):
         pick = live[lo:lo + rows]
-        block = np.zeros((len(pick), n))
-        steps[pick] = kernel(block, seeds[pick], ratio[pick], cal, tables, trace)
+        block = h[pick]
+        steps[pick] = kernel(block, seeds[pick], tables, trace)
         h[pick] = block
     # A seed starts at 1 and distress never falls, so it counts as defaulted.
     return CascadeEnsemble(

@@ -58,7 +58,7 @@ def evaluate_point(
     """Run the full seed ensemble with the fund on ``cal``, and reduce.
 
     Impact is zero on an edgeless network; ROI is NaN when any node has
-    zero balance.
+    zero balance, and an ROI that overflows float64 raises ParameterError.
     """
     n = cal.net.n_nodes
     ensemble = run_ensemble(cal)
@@ -70,10 +70,15 @@ def evaluate_point(
         dr_nodes, dr_avg = np.zeros(n), 0.0
     p = default_probabilities(delta, p_exo)
     if np.all(cal.balance > 0):
-        nominal = nominal_roi(cal, rates)
-        adjusted = risk_adjusted_roi(nominal, p)
-        weighted = float(np.average(adjusted, weights=cal.balance))
-        unweighted = float(np.mean(adjusted))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below
+            nominal = nominal_roi(cal, rates)
+            adjusted = risk_adjusted_roi(nominal, p)
+            weighted = float(np.average(adjusted, weights=cal.balance))
+            unweighted = float(np.mean(adjusted))
+        if not np.isfinite([weighted, unweighted]).all():  # as when any node's ROI is not
+            bad = np.flatnonzero(~np.isfinite(nominal))
+            what = f"node {cal.net.nodes[bad[0]]!r}: ROI" if bad.size else "the market ROI"
+            raise ParameterError(f"{what} overflows float64")
     else:  # ROI is undefined for zero-balance nodes
         nominal = np.full(n, np.nan)
         adjusted = np.full(n, np.nan)

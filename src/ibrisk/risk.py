@@ -65,9 +65,11 @@ def systemic_probabilities(q: np.ndarray, p_exo: np.ndarray) -> np.ndarray:
 
 
 def check_p_exo(p_exo: float) -> None:
-    """Reject an exogenous default probability that is not finite and positive."""
+    """Reject an exogenous default probability that is not a finite positive normal float."""
     if not (np.isfinite(p_exo) and p_exo > 0):
         raise ParameterError(f"exogenous probability must be finite and positive, got {p_exo}")
+    if p_exo < np.finfo(float).tiny:  # (1 + delta) * p_exo would round
+        raise ParameterError(f"exogenous probability is subnormal: {p_exo} < {np.finfo(float).tiny}")
 
 
 def default_probabilities(delta: np.ndarray, p_exo: float) -> np.ndarray:

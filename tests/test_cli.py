@@ -329,6 +329,30 @@ ERROR_CASES = {
         ["roi"], "# nodes=3 edges=1\n" + NODES_ABC + "a,b,5.0\n",
         ParameterError.exit_code, "node 'c' has zero balance; ROI undefined",
     ),
+    # A sweep writes market ROI, undefined with an isolated node, as roi does.
+    "sweep-alpha-zero-balance": (
+        ["sweep-alpha"], "# nodes=4 edges=2\n" + NODES_ABC + "# node zz\na,b,5.0\nb,c,2.0\n",
+        ParameterError.exit_code, "error: node 'zz' has zero balance; ROI undefined",
+    ),
+    # A rate so large that ROI overflows fails naming the first node whose
+    # ROI did, or the market ROI when only its sums overflow; no numpy
+    # warning is printed (the suite turns warnings into errors, exit 5).
+    "roi-rate-overflow": (
+        ["roi", "--roi-int", "1e308", "--eta", 0.05], "synth:n_nodes=40",
+        ParameterError.exit_code, "error: node 'n000': ROI overflows float64",
+    ),
+    "sweep-alpha-rate-overflow": (
+        ["sweep-alpha", "--roi-int", "1e308", "--eta", 0.05], "synth:n_nodes=40",
+        ParameterError.exit_code, "error: node 'n000': ROI overflows float64",
+    ),
+    "roi-market-overflow": (
+        ["roi", "--roi-int", "1e306", "--eta", 0.05], "synth:n_nodes=40",
+        ParameterError.exit_code, "error: the market ROI overflows float64",
+    ),
+    "p-exo-subnormal": (
+        ["risk", "--p-exo", "1e-320"], "synth:n_nodes=40", ParameterError.exit_code,
+        "error: exogenous probability is subnormal: 1e-320 < 2.2250738585072014e-308",
+    ),
 }
 
 
@@ -374,14 +398,16 @@ def test_config_bools(t3_file, tmp_path):
         assert f"trace={value}\n" in (out / "run.cfg").read_text()
 
 
-def test_roi_zero_balance_fails_before_ensemble(tmp_path, capsys, monkeypatch):
+# Every command that writes ROI or market ROI checks the balances first.
+@pytest.mark.parametrize("command", ["roi", "sweep-eta", "sweep-alpha"])
+def test_roi_zero_balance_fails_before_ensemble(command, tmp_path, capsys, monkeypatch):
     def no_ensemble(cal):
         raise AssertionError("the seed ensemble ran")
 
     monkeypatch.setattr(experiments, "run_ensemble", no_ensemble)
     source = tmp_path / "snapshot.csv"
     source.write_text("# nodes=3 edges=1\n" + NODES_ABC + "a,b,5.0\n")
-    code = run_cli(["roi", "--input", source, "--out", tmp_path / "o"])
+    code = run_cli([command, "--input", source, "--out", tmp_path / "o"])
     assert code == ParameterError.exit_code
     assert capsys.readouterr().err == "error: node 'c' has zero balance; ROI undefined\n"
 

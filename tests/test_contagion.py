@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -297,15 +298,26 @@ def test_eta_zero_defaults_reachable_set(net, alpha):
 
 def _swept(cal, seeds, trace=None):
     """final_distress and steps of ``seeds`` from the edge-by-edge kernel,
-    swept in blocks of BLOCK_CELLS cells as ``_cascades`` does, whatever
-    the reserves."""
+    swept on every row in blocks of BLOCK_CELLS cells as ``_cascades``
+    does, whatever the reserves. Round 1 is built loan by loan: each
+    lender of a seed gets min(1, weight) of its exposure less the
+    oracle's payout, as ``naive_cascade`` weighs a loss."""
     n = cal.net.n_nodes
-    tables = contagion._chunk_tables(contagion.propagation_weights(cal), n)
+    loans, reserve = loans_of(cal.net), cal.reserve.tolist()
     h = np.zeros((len(seeds), n))
+    for row, seed in enumerate(seeds.tolist()):
+        h[row, seed] = 1.0
+        payouts = naive_payouts(loans, cal.fund_contribution.tolist(), seed)
+        for (lender, borrower), amount in loans.items():
+            if borrower == seed:
+                loss, held = amount - payouts.get(lender, 0.0), reserve[lender]
+                weight = 0.0 if loss <= 0.0 else math.inf if held == 0.0 else loss / held
+                h[row, lender] = min(1.0, weight)
+    if trace is not None:  # one seed: before round 1, and after it if it fired
+        trace += [np.eye(1, n, seeds[0])] + [h.copy()] * (seeds[0] in cal.net.borrower)
+    tables = contagion._chunk_tables(contagion.propagation_weights(cal), n)
     rows = max(1, contagion.BLOCK_CELLS // n)
-    steps = [contagion._sweep_block(h[lo:lo + rows], seeds[lo:lo + rows],
-                                    contagion._fund_ratios(cal, seeds[lo:lo + rows]),
-                                    cal, tables, trace)
+    steps = [contagion._sweep_block(h[lo:lo + rows], seeds[lo:lo + rows], tables, trace)
              for lo in range(0, len(seeds), rows)]
     return h, np.concatenate(steps)
 
@@ -360,10 +372,11 @@ def test_kernel_chosen_by_reserves(monkeypatch, eta, used, unused):
     assert calls and set(calls) == {used}
 
 
-# A seed with no lenders, or whose lenders the fund pays in full, is
-# settled without a kernel; the rows must keep the kernel's bits. The
-# t3 examples have one seed of each kind and one rationed seed, there
-# with ratio 7 / 8, here 140 * 0.0571 / 8 = 0.99925.
+# The driver runs round 1 itself, and only rows with a distressed lender
+# go on to a kernel; every row must keep the bits of the kernel swept on
+# all rows after round 1 built loan by loan. The t3 examples have a seed
+# without lenders, a fully funded one and a rationed one, there with
+# ratio 7 / 8, here 140 * 0.0571 / 8 = 0.99925.
 @settings(max_examples=150, deadline=None)
 @given(
     net=small_networks(max_nodes=8),
@@ -393,13 +406,14 @@ def test_settled_seeds_skip_the_kernel(monkeypatch):
         rows.append(len(h))
         return kernel(h, *args)
     monkeypatch.setattr(contagion, "_sweep_block", spy)
-    # 792 of 1,000 seeds are settled; the other 208 fill 4 blocks of at most 65 rows.
+    # Round 1 distresses no lender of 792 of 1,000 seeds (fully funded or
+    # without lenders); the other 208 fill 4 blocks of at most 65 rows.
     net = generate_synthetic(SyntheticSpec(n_nodes=1000))
     ens = run_ensemble(calibrate(net, CalibrationParams(10.0, 0.005, 0.01)))
     assert rows == [65, 65, 65, 13]
     assert (ens.steps == 1).sum() == 792
-    # At alpha 1 the fund pays every seed's lenders in full: no kernel runs
-    # for the ensemble, but run_cascade keeps the kernel's two snapshots.
+    # At alpha 1 the fund pays every seed's lenders in full: no kernel runs,
+    # and run_cascade keeps the snapshots before and after round 1.
     net = generate_synthetic(SyntheticSpec(n_nodes=300))
     cal = calibrate(net, CalibrationParams(10.0, 0.05, 1.0))
     ens = run_ensemble(cal)
@@ -407,8 +421,35 @@ def test_settled_seeds_skip_the_kernel(monkeypatch):
     assert ens.final_distress.tobytes() == np.eye(300).tobytes()
     assert ens.steps.tolist() == [1] * 300
     one = run_cascade(cal, 0)
-    assert rows[4:] == [1]
+    assert rows[4:] == []
     assert [x.tobytes() for x in one.trace] == [np.eye(300)[:1].tobytes()] * 2
+
+
+# run_cascade takes the driver's path of run_ensemble: its row, steps and
+# defaults keep the bits of the seed's ensemble row, and its trace holds
+# the rows before round 1, after it when the seed has lenders, and after
+# each later round that fired, the last one the final row.
+@settings(max_examples=100, deadline=None)
+@given(
+    net=small_networks(max_nodes=8),
+    eta=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    alpha=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    cells=st.sampled_from([lambda n: 1, lambda n: 7 * n, lambda n: contagion.BLOCK_CELLS]),
+)
+def test_run_cascade_matches_ensemble_row_property(net, eta, alpha, cells):
+    cal = calibrate(net, CalibrationParams(beta=10.0, eta=eta, alpha=alpha))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(contagion, "BLOCK_CELLS", cells(net.n_nodes))
+        ens = run_ensemble(cal)
+        ones = [run_cascade(cal, seed) for seed in range(net.n_nodes)]
+    borrowers = set(net.borrower.tolist())
+    for seed, one in enumerate(ones):
+        assert one.final_distress.tobytes() == ens.final_distress[seed:seed + 1].tobytes()
+        assert one.steps.tolist() == ens.steps[seed:seed + 1].tolist()
+        assert one.defaulted.tolist() == ens.defaulted[seed:seed + 1].tolist()
+        assert len(one.trace) == one.steps[0] + (seed in borrowers)
+        assert one.trace[0].tobytes() == np.eye(1, net.n_nodes, seed).tobytes()
+        assert one.trace[-1].tobytes() == one.final_distress.tobytes()
 
 
 # At eta 1e-310 the reserves are subnormal and loss / reserve overflows
