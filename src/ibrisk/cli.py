@@ -203,7 +203,7 @@ def cmd_cascade(config: dict, net: FinancialNetwork, out_dir: Path) -> str:
 
 def cmd_risk(config: dict, net: FinancialNetwork, out_dir: Path) -> str:
     cal = calibrate(net, _params(config))
-    point = experiments.evaluate_point(cal, _rates(config), config["p_exo"])
+    point = experiments.evaluate_point(cal, None, config["p_exo"])  # risk writes no ROI
     delta, p, defaults = point.delta, point.default_prob, int(np.sum(point.delta))
     rows = [
         *zip(net.nodes, delta.tolist(), point.cascade_risk_nodes.tolist(), p.tolist(),

@@ -240,7 +240,8 @@ def _cascades(cal: CalibratedNetwork, seeds: np.ndarray,
     h, live = _first_round(cal, seeds, ratio, trace)
     reach = not cal.reserve.any()  # see the module docstring
     kernel = _reach_block if reach else _sweep_block
-    tables = _lender_words(cal) if reach else _chunk_tables(propagation_weights(cal), n)
+    if live.size:  # the kernel's tables, only when a row goes on to it
+        tables = _lender_words(cal) if reach else _chunk_tables(propagation_weights(cal), n)
     steps = np.ones(len(seeds), dtype=np.int64)
     for lo in range(0, len(live), rows):
         pick = live[lo:lo + rows]

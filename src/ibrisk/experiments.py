@@ -53,12 +53,13 @@ class PointResult:
 
 
 def evaluate_point(
-    cal: CalibratedNetwork, rates: RoiRates = DEFAULT_RATES, p_exo: float = 0.001
+    cal: CalibratedNetwork, rates: RoiRates | None = DEFAULT_RATES, p_exo: float = 0.001
 ) -> PointResult:
     """Run the full seed ensemble with the fund on ``cal``, and reduce.
 
-    Impact is zero on an edgeless network; ROI is NaN when any node has
-    zero balance, and an ROI that overflows float64 raises ParameterError.
+    Impact is zero on an edgeless network; ROI is NaN when ``rates`` is
+    None or any node has zero balance, and an ROI that overflows float64
+    raises ParameterError.
     """
     n = cal.net.n_nodes
     ensemble = run_ensemble(cal)
@@ -69,7 +70,7 @@ def evaluate_point(
     else:  # edgeless network: no economic value at risk
         dr_nodes, dr_avg = np.zeros(n), 0.0
     p = default_probabilities(delta, p_exo)
-    if np.all(cal.balance > 0):
+    if rates is not None and np.all(cal.balance > 0):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below
             nominal = nominal_roi(cal, rates)
             adjusted = risk_adjusted_roi(nominal, p)
@@ -79,7 +80,7 @@ def evaluate_point(
             bad = np.flatnonzero(~np.isfinite(nominal))
             what = f"node {cal.net.nodes[bad[0]]!r}: ROI" if bad.size else "the market ROI"
             raise ParameterError(f"{what} overflows float64")
-    else:  # ROI is undefined for zero-balance nodes
+    else:  # not asked for, or undefined for zero-balance nodes
         nominal = np.full(n, np.nan)
         adjusted = np.full(n, np.nan)
         weighted = unweighted = float("nan")

@@ -155,20 +155,23 @@ _PADDING[0x80:] = True
 _NO_ROWS = np.empty(0, dtype=np.int64)
 
 
-def _codes(table: dict, keys: list, new) -> np.ndarray:
-    """The values of ``keys`` in ``table``, adding each missing key in turn,
-    in the order of first appearance, as ``new(key)``."""
-    try:
-        return np.fromiter(map(table.__getitem__, keys), dtype=np.int64, count=len(keys))
-    except KeyError:
-        for key in dict.fromkeys(keys):
-            if key not in table:
-                table[key] = new(key)
-        return _codes(table, keys, new)
+class _Index(dict):
+    """Node ids to codes. A missing id takes the next code when looked up,
+    so one pass over a block codes its ids in order of first appearance."""
+
+    def __missing__(self, key: str) -> int:
+        return self.setdefault(key, len(self))
 
 
-def _plain_chunk(text: str, count: int, lineno: int, index: dict[str, int], note,
-                 ordinal: Optional[dict] = None):
+class _Ordinals(dict):
+    """Date texts to day ordinals, each parsed once; a bad date raises ValueError."""
+
+    def __missing__(self, key: str) -> int:
+        return self.setdefault(key, dt.date.fromisoformat(key).toordinal())
+
+
+def _plain_chunk(text: str, count: int, lineno: int, index: _Index, note,
+                 ordinal: Optional[_Ordinals] = None):
     """Parse a block at once, or return None to leave it to :func:`_by_line`.
 
     Rows are trades given the ``ordinal`` cache of date texts, else loans.
@@ -202,12 +205,12 @@ def _plain_chunk(text: str, count: int, lineno: int, index: dict[str, int], note
     fields = text[:-1].replace("\n", ",").split(",") if n else []
     ids = [""] * (2 * n)
     ids[0::2], ids[1::2] = fields[0::n_fields], fields[1::n_fields]
-    codes = _codes(index, ids, lambda name: len(index))
+    codes = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=2 * n)
     day = np.zeros(n, dtype=np.int64)
     try:
         amount = np.fromiter(map(float, fields[2::n_fields]), dtype=np.float64, count=n)
         if ordinal is not None:
-            day = _codes(ordinal, fields[3::4], lambda iso: dt.date.fromisoformat(iso).toordinal())
+            day = np.fromiter(map(ordinal.__getitem__, fields[3::4]), dtype=np.int64, count=n)
     except ValueError:
         return None
     if "" in index or (codes[0::2] == codes[1::2]).any() or not (
@@ -216,11 +219,11 @@ def _plain_chunk(text: str, count: int, lineno: int, index: dict[str, int], note
         return None
     for k, line in comments:
         note(lineno + k, line)
-    return codes[0::2], codes[1::2], amount, day
+    return codes[0::2].copy(), codes[1::2].copy(), amount, day
 
 
-def _by_line(lines: Iterable[str], lineno: int, source: str, index: dict[str, int], note,
-             ordinal: Optional[dict] = None):
+def _by_line(lines: Iterable[str], lineno: int, source: str, index: _Index, note,
+             ordinal: Optional[_Ordinals] = None):
     """Parse lines one at a time by the rules that alone define parse
     errors; raise InputError naming the first line that breaks one.
 
@@ -262,18 +265,17 @@ def _by_line(lines: Iterable[str], lineno: int, source: str, index: dict[str, in
         day = 0
         if ordinal is not None:
             try:
-                day = dt.date.fromisoformat(fields[3]).toordinal()
+                day = ordinal[fields[3]]
             except ValueError:
                 raise fault(f"unparseable date {fields[3]!r}") from None
         elif (lender, borrower) in seen:
             raise fault(f"duplicate loan {lender!r}->{borrower!r}")
         else:
             seen.add((lender, borrower))
-        code = index.setdefault(lender, len(index))
-        rows.append((code, index.setdefault(borrower, len(index)), amount, day))
+        rows.append((index[lender], index[borrower], amount, day))
     # Codes and day ordinals are far below 2**53, so float64 holds them exactly.
     lender, borrower, amount, day = np.array(rows, dtype=np.float64).reshape(-1, 4).T
-    return lender.astype(np.int64), borrower.astype(np.int64), amount, day.astype(np.int64)
+    return lender.astype(np.int64), borrower.astype(np.int64), amount.copy(), day.astype(np.int64)
 
 
 def _blocks(handle: io.TextIOBase):
@@ -288,14 +290,14 @@ def _blocks(handle: io.TextIOBase):
         yield block if block[-1] == "\n" else block + "\n"
 
 
-def _columns(lines, source: str, note, ordinal: Optional[dict] = None):
+def _columns(lines, source: str, note, ordinal: Optional[_Ordinals] = None):
     """Parse a text file by the blocks of :func:`_blocks`, each as columns
     by :func:`_plain_chunk` or else one line at a time by :func:`_by_line`;
     any other iterable of lines goes to :func:`_by_line` whole. Returns the
     ids in first-appearance order and the lender, borrower, amount and day
     columns of every row, read-only.
     """
-    index: dict[str, int] = {}
+    index = _Index()
     columns = [(_NO_ROWS, _NO_ROWS, np.empty(0), _NO_ROWS)]
     if isinstance(lines, io.TextIOBase):
         lineno = 1
@@ -306,9 +308,10 @@ def _columns(lines, source: str, note, ordinal: Optional[dict] = None):
             lineno += count
     else:
         columns.append(_by_line(lines, 1, source, index, note, ordinal))
-    arrays = [np.concatenate(column) for column in zip(*columns)]
-    for array in arrays:
-        array.flags.writeable = False
+    columns, arrays = list(zip(*columns)), []  # per column its pieces
+    while columns:  # one column at a time, freeing its pieces before the next
+        arrays.append(np.concatenate(columns.pop(0)))
+        arrays[-1].flags.writeable = False
     return tuple(index), *arrays
 
 
@@ -325,7 +328,7 @@ def ingest_transactions(lines: Iterable[str], source_name: str = "<stream>") -> 
         if not line:
             logger.warning("%s:%d: blank line skipped", source_name, lineno)
 
-    trades = Trades(*_columns(lines, source_name, note, ordinal={}))
+    trades = Trades(*_columns(lines, source_name, note, ordinal=_Ordinals()))
     logger.info("%s: ingested %d records", source_name, len(trades))
     return trades
 
@@ -367,17 +370,33 @@ def aggregate_window(
         keep &= trades.day >= start.toordinal()
     if end is not None:
         keep &= trades.day <= end.toordinal()
-    lender, borrower, amount = trades.lender[keep], trades.borrower[keep], trades.amount[keep]
-    if not amount.size:
+    lender, borrower = trades.lender[keep], trades.borrower[keep]
+    m = lender.size
+    if not m:
         raise InputError("no transactions fall inside the requested window")
-    ends = np.column_stack((lender, borrower)).ravel()
-    first = np.full(len(trades.names), ends.size)
-    np.minimum.at(first, ends, np.arange(ends.size))
-    codes = np.argsort(first)  # absent codes keep first == ends.size, so they sort last
+    first = np.full(len(trades.names), 2 * m)  # row k's lender at 2k, its borrower at 2k + 1
+    np.minimum.at(first, lender, np.arange(0, 2 * m, 2))
+    np.minimum.at(first, borrower, np.arange(1, 2 * m, 2))
+    codes = np.argsort(first)  # absent codes keep first == 2 * m, so they sort last
     position = np.argsort(codes)
-    n = np.count_nonzero(first < ends.size)
-    pairs, slot = np.unique(position[lender] * n + position[borrower], return_inverse=True)
-    totals = np.bincount(slot, weights=amount, minlength=pairs.size)
+    n = np.count_nonzero(first < 2 * m)
+    # Each row's pair key, built in place, and its slot among the distinct keys
+    # ascending; at most three arrays of the window's length live at a time.
+    key = position[lender]
+    del lender
+    key *= n
+    key += position[borrower]
+    del borrower
+    order = np.argsort(key)
+    key = key[order]
+    new = np.concatenate(([True], key[1:] != key[:-1]))
+    pairs = key[new]
+    del key
+    rank = np.cumsum(new) - 1
+    slot = np.empty_like(order)
+    slot[order] = rank
+    del order, rank
+    totals = np.bincount(slot, weights=trades.amount[keep], minlength=pairs.size)
     nodes = tuple(trades.names[c] for c in codes[:n].tolist())
     return FinancialNetwork(nodes, pairs // n, pairs % n, totals)
 

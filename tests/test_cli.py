@@ -345,6 +345,10 @@ ERROR_CASES = {
         ["sweep-alpha", "--roi-int", "1e308", "--eta", 0.05], "synth:n_nodes=40",
         ParameterError.exit_code, "error: node 'n000': ROI overflows float64",
     ),
+    "sweep-eta-rate-overflow": (
+        ["sweep-eta", "--roi-int", "1e308"], "synth:n_nodes=40",
+        ParameterError.exit_code, "error: node 'n000': ROI overflows float64",
+    ),
     "roi-market-overflow": (
         ["roi", "--roi-int", "1e306", "--eta", 0.05], "synth:n_nodes=40",
         ParameterError.exit_code, "error: the market ROI overflows float64",
@@ -410,6 +414,18 @@ def test_roi_zero_balance_fails_before_ensemble(command, tmp_path, capsys, monke
     code = run_cli([command, "--input", source, "--out", tmp_path / "o"])
     assert code == ParameterError.exit_code
     assert capsys.readouterr().err == "error: node 'c' has zero balance; ROI undefined\n"
+
+
+# risk writes no ROI, so rates whose ROI overflows (the roi, sweep-eta and
+# sweep-alpha rows of ERROR_CASES) leave it at exit 0 with the same bytes.
+@pytest.mark.parametrize("rate", ["1e308", "1e306"])
+def test_risk_ignores_roi_rates(rate, tmp_path, capsys):
+    args = ["risk", "--input", "synth:n_nodes=40", "--eta", "0.05"]
+    assert run_cli([*args, "--out", tmp_path / "default"]) == 0
+    assert run_cli([*args, "--roi-int", rate, "--out", tmp_path / "rate"]) == 0
+    assert capsys.readouterr().err == ""
+    risk_csv = [(tmp_path / out / "risk.csv").read_bytes() for out in ("default", "rate")]
+    assert risk_csv[0] == risk_csv[1]
 
 
 @pytest.mark.parametrize("command", ["risk", "roi", "sweep-eta", "sweep-alpha"])

@@ -425,6 +425,30 @@ def test_settled_seeds_skip_the_kernel(monkeypatch):
     assert [x.tobytes() for x in one.trace] == [np.eye(300)[:1].tobytes()] * 2
 
 
+# When round 1 leaves no row for a kernel, as at alpha 1 where the fund
+# pays every seed's lenders in full, _cascades builds no kernel table;
+# the rows keep the bits of the sweep kernel run on every row.
+def test_no_live_row_builds_no_kernel_tables(monkeypatch):
+    calls = []
+    for name in ("propagation_weights", "_chunk_tables", "_lender_words"):
+        def spy(*args, name=name, build=getattr(contagion, name)):
+            calls.append(name)
+            return build(*args)
+        monkeypatch.setattr(contagion, name, spy)
+    net = generate_synthetic(SyntheticSpec(n_nodes=1000))
+    run_ensemble(calibrate(net, CalibrationParams(10.0, 0.005, 0.01)))
+    assert calls == ["propagation_weights", "_chunk_tables"]
+    cal = calibrate(net, CalibrationParams(10.0, 0.05, 1.0))
+    ens = run_ensemble(cal)
+    assert calls == ["propagation_weights", "_chunk_tables"]
+    seeds = np.arange(net.n_nodes)
+    h, _ = contagion._first_round(cal, seeds, contagion._fund_ratios(cal, seeds), None)
+    tables = contagion._chunk_tables(contagion.propagation_weights(cal), net.n_nodes)
+    steps = contagion._sweep_block(h, seeds, tables, None)
+    assert ens.final_distress.tobytes() == h.tobytes()
+    assert ens.steps.tolist() == steps.tolist()
+
+
 # run_cascade takes the driver's path of run_ensemble: its row, steps and
 # defaults keep the bits of the seed's ensemble row, and its trace holds
 # the rows before round 1, after it when the seed has lenders, and after

@@ -1,9 +1,10 @@
 import datetime as dt
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ibrisk import (
@@ -323,6 +324,19 @@ def trade_streams(draw):
     start=st.sampled_from([None, dt.date(2020, 1, 2), dt.date(2020, 1, 3)]),
     end=st.sampled_from([None, dt.date(2020, 1, 2), dt.date(2020, 1, 4)]),
 )
+@example(  # D trades only outside the window: its code is absent from it
+    lines=["D,A,1,2020-01-01", "A,B,2,2020-01-03", "B,C,3,2020-01-02", "C,D,4,2020-01-05"],
+    start=dt.date(2020, 1, 2), end=dt.date(2020, 1, 4),
+)
+@example(  # one pair with many trades, whose sum depends on their order
+    lines=["B,A,0.1,2020-01-02", "B,A,0.2,2020-01-03", "C,D,1e-3,2020-01-02"]
+    + [f"B,A,{x},2020-01-0{d}" for x in ("0.3", "1e-3", "2.5", "0.1") for d in (2, 3, 5)],
+    start=None, end=dt.date(2020, 1, 4),
+)
+@example(  # a window that keeps a single trade
+    lines=["A,B,1,2020-01-01", "C,D,0.2,2020-01-02", "A,C,3,2020-01-03", "B,A,4,2020-01-05"],
+    start=dt.date(2020, 1, 2), end=dt.date(2020, 1, 2),
+)
 def test_ingest_aggregate_matches_per_record_loop(lines, start, end, caplog):
     expected_warnings, expected = per_record_ingest(lines, start, end)
     caplog.clear()
@@ -627,3 +641,36 @@ def test_irregular_snapshot_reads_other_chunks_as_columns(tmp_path, monkeypatch)
     monkeypatch.setattr(network, "READ_BLOCK", 1000)
     assert read_snapshot(snapshot) == net
     assert len(calls) == 1
+
+
+# Ingest and aggregation keep the trade table plus temporaries the size
+# of the window's rows. Reading 40k trades (in 4k-character blocks, so
+# that a block's per-field strings stay small) and summing the half
+# inside the window peaks at 1.47x the table's columns under tracemalloc;
+# keeping every column's pieces until all are joined, or building
+# interleaved or full-size unique temporaries, reads 2.47x.
+def test_ingest_and_aggregate_peak_memory(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    pair = rng.choice(200 * 199, 2000, replace=False)[rng.integers(2000, size=40_000)]
+    lender, borrower = np.divmod(pair, 199)
+    borrower += borrower >= lender
+    amount = rng.lognormal(3.0, 1.0, size=40_000).round(2) + 0.01
+    dates = [(dt.date(2023, 1, 1) + dt.timedelta(days=d)).isoformat() for d in range(730)]
+    day = rng.integers(730, size=40_000)
+    path = tmp_path / "trades.csv"
+    path.write_text("".join(
+        f"n{i},n{j},{a!r},{dates[d]}\n"
+        for i, j, a, d in zip(lender.tolist(), borrower.tolist(), amount.tolist(), day.tolist())
+    ))
+    monkeypatch.setattr(network, "READ_BLOCK", 4096)
+    tracemalloc.start()
+    try:
+        trades = network.ingest_file(path)
+        net = aggregate_window(trades, dt.date(2023, 7, 2), dt.date(2024, 6, 30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = (trades.lender, trades.borrower, trades.amount, trades.day)
+    table = sum(column.nbytes for column in columns)
+    assert (len(trades), net.n_edges) == (40_000, 2000)
+    assert peak < 1.75 * table
