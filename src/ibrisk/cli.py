@@ -8,7 +8,8 @@ decimal formatting so identical configs produce identical bytes.
 
 Exit codes: 0 success, 2 bad arguments, 3 input error, 4 calibration
 infeasible, 5 internal error (an invariant violation or any other
-unexpected exception). Every failure prints one line on stderr.
+unexpected exception). A failing command's last stderr line is its one
+error line; warnings logged earlier, such as a skipped blank line, come before it.
 """
 from __future__ import annotations
 
@@ -218,8 +219,6 @@ def cmd_risk(config: dict, net: FinancialNetwork, out_dir: Path) -> str:
 
 def cmd_roi(config: dict, net: FinancialNetwork, out_dir: Path) -> str:
     cal = calibrate(net, _params(config))
-    # ROI is undefined at a zero balance: fail before the seed ensemble runs.
-    roi.require_positive_balance(net.nodes, cal.balance)
     point = experiments.evaluate_point(cal, _rates(config), config["p_exo"])
     rows = zip(net.nodes, point.roi_nominal.tolist(), point.roi_risk_adjusted.tolist(),
                point.default_prob.tolist())
@@ -234,8 +233,6 @@ def cmd_roi(config: dict, net: FinancialNetwork, out_dir: Path) -> str:
 
 def _cmd_sweep(config: dict, net: FinancialNetwork, out_dir: Path, varying: str) -> str:
     grid = experiments.DEFAULT_ETA_GRID if varying == "eta" else experiments.DEFAULT_ALPHA_GRID
-    first = calibrate(net, dataclasses.replace(_params(config), **{varying: grid[0]}))
-    roi.require_positive_balance(net.nodes, first.balance)  # before any ensemble runs
     rows = experiments.sweep(net, _params(config), varying, grid, _rates(config), config["p_exo"])
     _write_csv(out_dir / "sweep.csv", _field_names(experiments.SweepRow),
                map(dataclasses.astuple, rows))

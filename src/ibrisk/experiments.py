@@ -12,8 +12,8 @@ from .errors import ParameterError
 from .network import FinancialNetwork
 from .risk import (
     cascade_risk,
-    conditional_default_matrix,
     debtrank_metric,
+    default_counts,
     default_probabilities,
 )
 from .roi import DEFAULT_RATES, RoiRates, nominal_roi, risk_adjusted_roi
@@ -57,22 +57,26 @@ def evaluate_point(
 ) -> PointResult:
     """Run the full seed ensemble with the fund on ``cal``, and reduce.
 
-    Impact is zero on an edgeless network; ROI is NaN when ``rates`` is
-    None or any node has zero balance, and an ROI that overflows float64
-    raises ParameterError.
+    Impact is zero on an edgeless network. ROI is NaN when ``rates`` is
+    None; with rates given, a node of zero balance raises ParameterError
+    before the ensemble runs, and so does an ROI that overflows float64.
     """
     n = cal.net.n_nodes
+    nominal, adjusted = np.full((2, n), np.nan)  # unless rates are given
+    weighted = unweighted = float("nan")
+    if rates is not None:  # checks every balance first
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below
+            nominal = nominal_roi(cal, rates)
     ensemble = run_ensemble(cal)
-    _, delta = conditional_default_matrix(ensemble)
+    delta = default_counts(ensemble)
     node_risk, system_risk = cascade_risk(delta, n)
     if cal.net.n_edges:
         dr_nodes, dr_avg = debtrank_metric(ensemble, cal.strengths)
     else:  # edgeless network: no economic value at risk
         dr_nodes, dr_avg = np.zeros(n), 0.0
     p = default_probabilities(delta, p_exo)
-    if rates is not None and np.all(cal.balance > 0):
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below
-            nominal = nominal_roi(cal, rates)
+    if rates is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
             adjusted = risk_adjusted_roi(nominal, p)
             weighted = float(np.average(adjusted, weights=cal.balance))
             unweighted = float(np.mean(adjusted))
@@ -80,10 +84,6 @@ def evaluate_point(
             bad = np.flatnonzero(~np.isfinite(nominal))
             what = f"node {cal.net.nodes[bad[0]]!r}: ROI" if bad.size else "the market ROI"
             raise ParameterError(f"{what} overflows float64")
-    else:  # not asked for, or undefined for zero-balance nodes
-        nominal = np.full(n, np.nan)
-        adjusted = np.full(n, np.nan)
-        weighted = unweighted = float("nan")
     return PointResult(
         cascade_risk_system=system_risk,
         cascade_risk_nodes=node_risk,
@@ -100,10 +100,11 @@ def evaluate_point(
 
 def sweep(
     net: FinancialNetwork, params: CalibrationParams, varying: str, grid: tuple[float, ...],
-    rates: RoiRates = DEFAULT_RATES, p_exo: float = 0.001,
+    rates: RoiRates | None = DEFAULT_RATES, p_exo: float = 0.001,
 ) -> list[SweepRow]:
-    """Evaluate the pipeline at ``params`` with its ``varying`` field,
-    "eta" or "alpha", set to each grid value; rows come back in grid order."""
+    """Evaluate the pipeline at ``params`` with its ``varying`` field, "eta" or "alpha",
+    set to each grid value; rows come back in grid order. Market ROI is NaN when
+    ``rates`` is None; with rates given, a zero balance raises before any ensemble."""
     if varying not in ("eta", "alpha"):
         raise ParameterError(f"varying must be 'eta' or 'alpha', got {varying!r}")
     if len(grid) == 0:
@@ -154,8 +155,7 @@ def iso_curve(
     @cache
     def pc_at(eta: float, alpha: float) -> float:
         ensemble = run_ensemble(calibrate(net, CalibrationParams(beta, eta, alpha)))
-        delta = conditional_default_matrix(ensemble)[1]
-        return cascade_risk(delta, net.n_nodes)[1]
+        return cascade_risk(default_counts(ensemble), net.n_nodes)[1]
 
     base_pc = pc_at(eta0, 0.0)
     if base_pc <= 0.0:

@@ -14,19 +14,19 @@ from .errors import InvariantError, ParameterError
 from .network import NodeStrengths
 
 
-def conditional_default_matrix(ens: CascadeEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """Q[i, j] = 1 iff node i defaulted in the run seeded at j (i != j).
-
-    Returns (Q, delta) with delta_i the row sums, i.e. the number of
-    non-self runs in which node i defaulted.
-    """
+def default_counts(ens: CascadeEnsemble) -> np.ndarray:
+    """delta_i: the number of runs seeded at another node in which node i defaulted."""
     seeds, n = ens.defaulted.shape
     if seeds != n:
         raise InvariantError(f"incomplete ensemble: {seeds} seeds for {n} nodes")
+    return np.count_nonzero(ens.defaulted, axis=0) - 1  # less each seed's own run
+
+
+def conditional_default_matrix(ens: CascadeEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, default_counts): Q[i, j] = 1 iff node i defaulted in the run seeded at j != i."""
     q = ens.defaulted.T.astype(np.int8)
     np.fill_diagonal(q, 0)
-    delta = q.sum(axis=1, dtype=np.int64)
-    return q, delta
+    return q, default_counts(ens)
 
 
 def cascade_risk(delta: np.ndarray, n: int) -> tuple[np.ndarray, float]:
@@ -80,7 +80,8 @@ def default_probabilities(delta: np.ndarray, p_exo: float) -> np.ndarray:
     """
     check_p_exo(p_exo)
     delta = np.asarray(delta)
-    p = (1.0 + delta) * p_exo
+    with np.errstate(over="ignore"):  # an inf fails the check below
+        p = (1.0 + delta) * p_exo
     bad = np.flatnonzero(p > 1.0)
     if bad.size:
         largest = 1.0 / (1.0 + int(np.max(delta)))

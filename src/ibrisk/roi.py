@@ -40,11 +40,13 @@ def nominal_roi(cal: CalibratedNetwork, rates: RoiRates = DEFAULT_RATES) -> np.n
 
     [roi_int * lent + roi_ext * D + roi_e * (1 - alpha) * E
      + roi_f * alpha * E] / B, where D = B - lent - E. With alpha = 0
-    this is the plain no-fund nominal ROI.
+    this is the plain no-fund nominal ROI. A zero balance raises ParameterError.
     """
     lent = cal.strengths.out_strength
     balance = cal.balance
-    require_positive_balance(cal.net.nodes, balance)
+    zero = np.flatnonzero(balance == 0.0)
+    if zero.size:
+        raise ParameterError(f"node {cal.net.nodes[zero[0]]!r} has zero balance; ROI undefined")
     alpha = cal.params.alpha
     external = cal.external_assets()
     if alpha == 0.0 or rates.roi_e == rates.roi_f:
@@ -58,13 +60,6 @@ def nominal_roi(cal: CalibratedNetwork, rates: RoiRates = DEFAULT_RATES) -> np.n
         )
     numerator = rates.roi_int * lent + rates.roi_ext * external + reserve_term
     return numerator / balance
-
-
-def require_positive_balance(nodes: tuple[str, ...], balance: np.ndarray) -> None:
-    """Raise naming the first node whose zero balance leaves ROI undefined."""
-    zero = np.flatnonzero(balance == 0.0)
-    if zero.size:
-        raise ParameterError(f"node {nodes[zero[0]]!r} has zero balance; ROI undefined")
 
 
 def risk_adjusted_roi(nominal: np.ndarray, default_prob: np.ndarray) -> np.ndarray:

@@ -1,4 +1,16 @@
+import io
+import math
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibrisk import cli, experiments
 from ibrisk.cli import main
@@ -171,6 +183,7 @@ def test_snapshot_reload_pipeline(t3_file, tmp_path, capsys):
 
 NODES_ABC = "# node a\n# node b\n# node c\n"
 CYCLE_1E308 = "a,b,1e308\nb,c,1e308\nc,a,1e308\n"
+ISOLATED_ZZ = "# nodes=4 edges=2\n" + NODES_ABC + "# node zz\na,b,5.0\nb,c,2.0\n"
 
 
 # (command and flags, input, exit code, expected stderr). The input is
@@ -334,6 +347,20 @@ ERROR_CASES = {
         ["sweep-alpha"], "# nodes=4 edges=2\n" + NODES_ABC + "# node zz\na,b,5.0\nb,c,2.0\n",
         ParameterError.exit_code, "error: node 'zz' has zero balance; ROI undefined",
     ),
+    # Zero balance is checked at the ROI of a calibrated point, so a beta too
+    # small for that point fails first; sweep-eta's first point (eta 0) calibrates.
+    "roi-beta-before-zero-balance": (
+        ["roi", "--beta", 1.01], ISOLATED_ZZ,
+        CalibrationError.exit_code, "error: node 'a' has negative external assets (D=-0.2025)",
+    ),
+    "sweep-alpha-beta-before-zero-balance": (
+        ["sweep-alpha", "--beta", 1.01], ISOLATED_ZZ,
+        CalibrationError.exit_code, "error: node 'a' has negative external assets (D=-0.2025)",
+    ),
+    "sweep-eta-zero-balance-before-beta": (
+        ["sweep-eta", "--beta", 1.01], ISOLATED_ZZ,
+        ParameterError.exit_code, "error: node 'zz' has zero balance; ROI undefined",
+    ),
     # A rate so large that ROI overflows fails naming the first node whose
     # ROI did, or the market ROI when only its sums overflow; no numpy
     # warning is printed (the suite turns warnings into errors, exit 5).
@@ -352,6 +379,12 @@ ERROR_CASES = {
     "roi-market-overflow": (
         ["roi", "--roi-int", "1e306", "--eta", 0.05], "synth:n_nodes=40",
         ParameterError.exit_code, "error: the market ROI overflows float64",
+    ),
+    # (1 + delta) * p_exo overflows to inf, which the same check rejects.
+    "p-exo-overflow": (
+        ["risk", "--p-exo", "1e308"], None, ParameterError.exit_code,
+        "error: default probability exceeds 1 at node index 0 (delta=1, p_exo=1e+308); "
+        "set --p-exo to at most 1/(1 + max delta) = 0.3333333333333333",
     ),
     "p-exo-subnormal": (
         ["risk", "--p-exo", "1e-320"], "synth:n_nodes=40", ParameterError.exit_code,
@@ -442,6 +475,26 @@ def test_bad_p_exo_fails_before_loading(command, t3_file, tmp_path, capsys, monk
     )
 
 
+# A failing command's last stderr line is its one error line; warnings
+# logged before it, such as a skipped blank line, come first. Run as a
+# script, as logging under pytest does not reach stderr.
+def test_failure_ends_stderr_with_one_error_line(tmp_path):
+    source = tmp_path / "trades.csv"
+    source.write_text("2,1,8.0,2000-04-03\n\n3,2,6.0,2000-04-03\n")
+    paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    run = subprocess.run(
+        [sys.executable, "-m", "ibrisk.cli", "ingest", "--input", str(source),
+         "--window-start", "2021-01-01", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert run.returncode == InputError.exit_code
+    assert run.stderr == (
+        f"WARNING {source}:2: blank line skipped\n"
+        "error: no transactions fall inside the requested window\n"
+    )
+
+
 def test_unexpected_exception_exits_internal(t3_file, tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
@@ -460,3 +513,56 @@ def test_risk_on_edgeless_snapshot(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "p^C=0.0 N=3 defaults_total=0"
     system = (tmp_path / "o" / "risk.csv").read_text().strip().splitlines()[-1]
     assert system.split(",")[-1] == "0.0"  # impact
+
+
+# Flag values as a user may type them: normal, subnormal, huge, zero,
+# negative, exponent form, nan and inf.
+FLAG_TEXT = st.one_of(
+    st.sampled_from(["0.05", "10", "1.5", "0", "-0", "-0.5", "-1e-3", "2.5E-3", "1e-310",
+                     "5e-324", "1e308", "1.7976931348623157e308", "nan", "-nan", "inf",
+                     "-inf", "1e400", "0.001", "1", "0.5"]),
+    st.floats().map(repr),
+    st.floats(min_value=-2.0, max_value=20.0).map(lambda x: f"{x:E}"),
+)
+FLOAT_FLAGS = ("beta", "eta", "alpha", "p-exo", "roi-int", "roi-ext", "roi-e", "roi-f")
+SNAPSHOT_5 = (
+    "# nodes=5 edges=6\n# node a\n# node b\n# node c\n# node d\n# node e\n"
+    "a,b,5.0\nb,c,2.0\nb,d,1.0\nc,d,3.0\nd,e,1.5\ne,a,4.0\n"
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["risk", "roi", "sweep-eta", "sweep-alpha", "iso", "cascade"]),
+    flags=st.dictionaries(st.sampled_from(FLOAT_FLAGS), FLAG_TEXT, max_size=4),
+    increases=st.none() | st.lists(FLAG_TEXT, min_size=1, max_size=3).map(",".join),
+)
+def test_flag_strings_fail_cleanly_or_give_finite_csvs(command, flags, increases):
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "snapshot.csv"
+        source.write_text(SNAPSHOT_5)
+        out = Path(tmp) / "o"
+        args = [command, "--input", str(source), "--out", str(out), "--seed-node", "c"]
+        args += [f"--{key}={value}" for key, value in flags.items()]
+        if increases is not None:
+            args.append(f"--eta-increases={increases}")
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stdout(io.StringIO()), \
+                redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(args)
+        assert not caught, [str(w.message) for w in caught]
+        assert code in (0, 2, 3, 4), stderr.getvalue()
+        if code:
+            assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
+            assert stderr.getvalue().startswith("error: ")
+            return
+        assert stderr.getvalue() == ""
+        for csv in out.glob("*.csv"):
+            for line in csv.read_text().splitlines()[1:]:
+                for cell in line.split(","):
+                    try:
+                        value = float(cell)
+                    except ValueError:  # a node id
+                        continue
+                    assert math.isfinite(value), (csv.name, line)

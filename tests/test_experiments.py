@@ -6,6 +6,9 @@ from ibrisk import (
     FinancialNetwork,
     ParameterError,
     SyntheticSpec,
+    calibrate,
+    evaluate_point,
+    experiments,
     generate_synthetic,
     iso_curve,
     node_strengths,
@@ -30,9 +33,32 @@ def test_sweep_eta_monotone(t3):
 
 def test_sweep_edgeless_all_zero():
     net = FinancialNetwork(("a", "b", "c"))
-    rows = sweep(net, CalibrationParams(10.0, 0.0, 0.0), "eta", (0.0, 0.01, 0.05))
+    rows = sweep(net, CalibrationParams(10.0, 0.0, 0.0), "eta", (0.0, 0.01, 0.05), rates=None)
     assert all(row.cascade_risk == 0.0 for row in rows)
     assert all(row.avg_debtrank == 0.0 for row in rows)
+
+
+# With rates given, ROI is undefined at a zero balance (an isolated node):
+# the point fails before its seed ensemble runs.
+def test_zero_balance_fails_before_ensemble(monkeypatch):
+    def no_ensemble(cal):
+        raise AssertionError("the seed ensemble ran")
+
+    monkeypatch.setattr(experiments, "run_ensemble", no_ensemble)
+    net = FinancialNetwork(("a", "b", "c"), lender=[0], borrower=[1], amount=[5.0])
+    params = CalibrationParams(10.0, 0.005, 0.0)
+    with pytest.raises(ParameterError, match="^node 'c' has zero balance; ROI undefined$"):
+        evaluate_point(calibrate(net, params))
+    with pytest.raises(ParameterError, match="^node 'c' has zero balance; ROI undefined$"):
+        sweep(net, params, "alpha", DEFAULT_ALPHA_GRID)
+
+
+def test_zero_balance_roi_is_nan_without_rates():
+    net = FinancialNetwork(("a", "b", "c"), lender=[0], borrower=[1], amount=[5.0])
+    point = evaluate_point(calibrate(net, CalibrationParams(10.0, 0.005, 0.0)), None)
+    assert np.isnan(point.roi_nominal).all() and np.isnan(point.roi_risk_adjusted).all()
+    assert np.isnan(point.market_roi_weighted) and np.isnan(point.market_roi_unweighted)
+    assert point.delta.tolist() == [1, 0, 0]  # b's default takes its lender a down
 
 
 def test_sweep_rejects_bad_grid(t3):
