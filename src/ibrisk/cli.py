@@ -162,7 +162,7 @@ def load_network(config: dict, default: str | None = None) -> FinancialNetwork:
         raise InputError(f"input file not found: {path}")
     if network.is_snapshot_file(path):
         return network.read_snapshot(path)
-    return network.aggregate_window(network.ingest_file(path), start, end)
+    return network.aggregate_window(network.ingest_file(path, start, end))
 
 
 def _field_names(cls) -> list[str]:

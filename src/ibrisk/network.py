@@ -27,12 +27,12 @@ READ_BLOCK = 65536
 
 @dataclass(frozen=True)
 class Trades:
-    """Parsed trades as read-only columns, one row per trade line.
+    """Parsed trades as read-only columns, one row per trade line kept.
 
     Row k is a loan of ``amount[k]`` from ``names[lender[k]]`` to
     ``names[borrower[k]]`` on the day whose proleptic ordinal is
     ``day[k]``. ``names`` holds each node id once, in first-appearance
-    order (lender before borrower within a row).
+    order over every parsed row, kept or not (lender before borrower).
     """
 
     names: tuple[str, ...]
@@ -290,24 +290,36 @@ def _blocks(handle: io.TextIOBase):
         yield block if block[-1] == "\n" else block + "\n"
 
 
-def _columns(lines, source: str, note, ordinal: Optional[_Ordinals] = None):
+def _in_window(day: np.ndarray, start: Optional[dt.date], end: Optional[dt.date]) -> np.ndarray:
+    """Mask of the day ordinals inside [start, end]; a bound of None is open."""
+    keep = day >= start.toordinal() if start is not None else np.ones(day.size, dtype=bool)
+    return keep & (day <= end.toordinal()) if end is not None else keep
+
+
+def _columns(lines, source: str, note, ordinal: Optional[_Ordinals] = None, window=(None, None)):
     """Parse a text file by the blocks of :func:`_blocks`, each as columns
     by :func:`_plain_chunk` or else one line at a time by :func:`_by_line`;
     any other iterable of lines goes to :func:`_by_line` whole. Returns the
-    ids in first-appearance order and the lender, borrower, amount and day
-    columns of every row, read-only.
+    ids in first-appearance order over every row and the lender, borrower,
+    amount and day columns of the rows dated inside ``window``, read-only.
+    Each block's other rows are dropped before the next block is read.
     """
     index = _Index()
     columns = [(_NO_ROWS, _NO_ROWS, np.empty(0), _NO_ROWS)]
+
+    def keep(piece):  # a parsed block's rows dated inside the window
+        mask = slice(None) if window == (None, None) else _in_window(piece[3], *window)
+        return tuple(column[mask] for column in piece)
+
     if isinstance(lines, io.TextIOBase):
         lineno = 1
         for text in _blocks(lines):
             count = text.count("\n")
-            columns.append(_plain_chunk(text, count, lineno, index, note, ordinal) or _by_line(
-                text.split("\n")[:-1], lineno, source, index, note, ordinal))
+            columns.append(keep(_plain_chunk(text, count, lineno, index, note, ordinal) or _by_line(
+                text.split("\n")[:-1], lineno, source, index, note, ordinal)))
             lineno += count
     else:
-        columns.append(_by_line(lines, 1, source, index, note, ordinal))
+        columns.append(keep(_by_line(lines, 1, source, index, note, ordinal)))
     columns, arrays = list(zip(*columns)), []  # per column its pieces
     while columns:  # one column at a time, freeing its pieces before the next
         arrays.append(np.concatenate(columns.pop(0)))
@@ -315,20 +327,26 @@ def _columns(lines, source: str, note, ordinal: Optional[_Ordinals] = None):
     return tuple(index), *arrays
 
 
-def ingest_transactions(lines: Iterable[str], source_name: str = "<stream>") -> Trades:
-    """Parse a comma-separated transaction stream into a :class:`Trades` table.
+def ingest_transactions(lines: Iterable[str], source_name: str = "<stream>",
+                        start: Optional[dt.date] = None, end: Optional[dt.date] = None) -> Trades:
+    """Parse a comma-separated transaction stream into a :class:`Trades`
+    table of the trades dated inside [start, end] (a bound of None is open).
 
     Format per line: ``lender_id,borrower_id,amount,YYYY-MM-DD``.
     Comment lines (leading ``#``) are ignored; blank lines are skipped
-    with a warning. Any malformed line aborts with an error naming the
-    line number. Lines are parsed by :func:`_columns`.
+    with a warning. :func:`_columns` parses and checks every line, also
+    one outside the window, and any malformed line aborts with an error
+    naming its line number. Trades none of which are in the window raise
+    InputError; no trade at all gives an empty table.
     """
 
     def note(lineno: int, line: str) -> None:
         if not line:
             logger.warning("%s:%d: blank line skipped", source_name, lineno)
 
-    trades = Trades(*_columns(lines, source_name, note, ordinal=_Ordinals()))
+    trades = Trades(*_columns(lines, source_name, note, _Ordinals(), (start, end)))
+    if trades.names and not len(trades):  # every parsed row names two ids
+        raise InputError("no transactions fall inside the requested window")
     logger.info("%s: ingested %d records", source_name, len(trades))
     return trades
 
@@ -346,9 +364,9 @@ def _parse_file(path, parse):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def ingest_file(path) -> Trades:
-    """Read and parse a transaction edge-list file."""
-    return _parse_file(path, ingest_transactions)
+def ingest_file(path, start: Optional[dt.date] = None, end: Optional[dt.date] = None) -> Trades:
+    """Read a transaction edge-list file by :func:`ingest_transactions`."""
+    return _parse_file(path, lambda handle, source: ingest_transactions(handle, source, start, end))
 
 
 def aggregate_window(
@@ -361,15 +379,11 @@ def aggregate_window(
     Node index order is first-appearance order over the selected trades
     (lender before borrower), which makes aggregation deterministic and
     permutation of volumes within a pair irrelevant. Each pair is summed
-    one trade at a time in row order.
+    one trade at a time in row order. Trades ingested with a window need none here.
     """
     if not len(trades):
         raise InputError("the input holds no trades")
-    keep = np.ones(len(trades), dtype=bool)
-    if start is not None:
-        keep &= trades.day >= start.toordinal()
-    if end is not None:
-        keep &= trades.day <= end.toordinal()
+    keep = _in_window(trades.day, start, end)
     lender, borrower = trades.lender[keep], trades.borrower[keep]
     m = lender.size
     if not m:

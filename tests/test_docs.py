@@ -3,8 +3,9 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# Two trades in the April 2000 window of the README's example.
-TRADES = "# lender,borrower,amount,date\nb,a,8.0,2000-04-03\nc,b,6.0,2000-04-17\n"
+# Two trades in the April 2000 window of the README's example, one before it.
+TRADES = ("# lender,borrower,amount,date\n"
+          "b,a,8.0,2000-04-03\na,c,5.0,2000-03-31\nc,b,6.0,2000-04-17\n")
 
 
 def test_documented_python_blocks_run(tmp_path, monkeypatch):

@@ -337,21 +337,34 @@ def trade_streams(draw):
     lines=["A,B,1,2020-01-01", "C,D,0.2,2020-01-02", "A,C,3,2020-01-03", "B,A,4,2020-01-05"],
     start=dt.date(2020, 1, 2), end=dt.date(2020, 1, 2),
 )
+@example(  # a malformed line dated outside the window still names its line
+    lines=["A,B,1,2020-01-03", "", "C,D,zz,2020-01-01", "B,C,2,2020-01-03"],
+    start=dt.date(2020, 1, 2), end=None,
+)
+@example(  # a window that keeps no trade, after a blank-line warning
+    lines=["A,B,1,2020-01-01", "", "C,D,2,2020-01-05"],
+    start=dt.date(2020, 1, 2), end=dt.date(2020, 1, 4),
+)
 def test_ingest_aggregate_matches_per_record_loop(lines, start, end, caplog):
+    """Aggregating the window of every trade, or every trade of a table
+    ingested with the window, gives the per-record loop's outcome."""
     expected_warnings, expected = per_record_ingest(lines, start, end)
-    caplog.clear()
-    with caplog.at_level("WARNING", logger="ibrisk.network"):
-        try:
-            net = aggregate_window(ingest_transactions(lines), start, end)
-        except InputError as exc:
-            got = str(exc)
+    for build in (lambda: aggregate_window(ingest_transactions(lines), start, end),
+                  lambda: aggregate_window(ingest_transactions(lines, start=start, end=end))):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="ibrisk.network"):
+            try:
+                got = build()
+            except InputError as exc:
+                got = str(exc)
+        assert caplog.messages == expected_warnings
+        if isinstance(expected, str):
+            assert got == expected
         else:
-            got = net
-    assert caplog.messages == expected_warnings
-    if isinstance(expected, str):
-        assert got == expected
-    else:
-        assert got == network_of(*expected)  # same nodes, pairs and amount bits
+            assert got == network_of(*expected)  # same nodes, pairs and amount bits
+    if not isinstance(expected, str):  # names cover every parsed row, in the window or not
+        names = ingest_transactions(lines).names
+        assert ingest_transactions(lines, start=start, end=end).names == names
 
 
 SNAPSHOT_LINES = [
@@ -648,7 +661,9 @@ def test_irregular_snapshot_reads_other_chunks_as_columns(tmp_path, monkeypatch)
 # that a block's per-field strings stay small) and summing the half
 # inside the window peaks at 1.47x the table's columns under tracemalloc;
 # keeping every column's pieces until all are joined, or building
-# interleaved or full-size unique temporaries, reads 2.47x.
+# interleaved or full-size unique temporaries, reads 2.47x. Ingesting
+# with the window drops each block's other rows as it goes, so the table
+# holds the window's rows alone: 0.95x the whole table's columns.
 def test_ingest_and_aggregate_peak_memory(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     pair = rng.choice(200 * 199, 2000, replace=False)[rng.integers(2000, size=40_000)]
@@ -663,10 +678,11 @@ def test_ingest_and_aggregate_peak_memory(tmp_path, monkeypatch):
         for i, j, a, d in zip(lender.tolist(), borrower.tolist(), amount.tolist(), day.tolist())
     ))
     monkeypatch.setattr(network, "READ_BLOCK", 4096)
+    window = (dt.date(2023, 7, 2), dt.date(2024, 6, 30))
     tracemalloc.start()
     try:
         trades = network.ingest_file(path)
-        net = aggregate_window(trades, dt.date(2023, 7, 2), dt.date(2024, 6, 30))
+        net = aggregate_window(trades, *window)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -674,3 +690,12 @@ def test_ingest_and_aggregate_peak_memory(tmp_path, monkeypatch):
     table = sum(column.nbytes for column in columns)
     assert (len(trades), net.n_edges) == (40_000, 2000)
     assert peak < 1.75 * table
+    del trades
+    tracemalloc.start()
+    try:
+        windowed = aggregate_window(network.ingest_file(path, *window))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert windowed == net
+    assert peak < 1.2 * table
