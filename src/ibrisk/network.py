@@ -1,6 +1,6 @@
 """Weighted directed interbank lending networks.
 
-Ingestion of transaction edge lists, aggregation over a date window,
+Ingestion of transaction edge lists over a date window, aggregation,
 strength computation, validation, and snapshot file round-trips.
 Loan amounts A[i, j] mean "node i lent this much to node j".
 """
@@ -290,25 +290,24 @@ def _blocks(handle: io.TextIOBase):
         yield block if block[-1] == "\n" else block + "\n"
 
 
-def _in_window(day: np.ndarray, start: Optional[dt.date], end: Optional[dt.date]) -> np.ndarray:
-    """Mask of the day ordinals inside [start, end]; a bound of None is open."""
-    keep = day >= start.toordinal() if start is not None else np.ones(day.size, dtype=bool)
-    return keep & (day <= end.toordinal()) if end is not None else keep
-
-
-def _columns(lines, source: str, note, ordinal: Optional[_Ordinals] = None, window=(None, None)):
+def _columns(lines, source: str, note, ordinal: Optional[_Ordinals] = None,
+             start: Optional[dt.date] = None, end: Optional[dt.date] = None):
     """Parse a text file by the blocks of :func:`_blocks`, each as columns
     by :func:`_plain_chunk` or else one line at a time by :func:`_by_line`;
     any other iterable of lines goes to :func:`_by_line` whole. Returns the
     ids in first-appearance order over every row and the lender, borrower,
-    amount and day columns of the rows dated inside ``window``, read-only.
-    Each block's other rows are dropped before the next block is read.
+    amount and day columns of the rows dated inside [start, end] (a bound
+    of None is open), read-only. Each block's other rows are dropped
+    before the next block is read.
     """
     index = _Index()
     columns = [(_NO_ROWS, _NO_ROWS, np.empty(0), _NO_ROWS)]
+    low, high = (start or dt.date.min).toordinal(), (end or dt.date.max).toordinal()
 
-    def keep(piece):  # a parsed block's rows dated inside the window
-        mask = slice(None) if window == (None, None) else _in_window(piece[3], *window)
+    def keep(piece):  # a parsed block's rows dated inside [start, end]
+        if start is None and end is None:
+            return piece
+        mask = (piece[3] >= low) & (piece[3] <= high)
         return tuple(column[mask] for column in piece)
 
     if isinstance(lines, io.TextIOBase):
@@ -344,7 +343,7 @@ def ingest_transactions(lines: Iterable[str], source_name: str = "<stream>",
         if not line:
             logger.warning("%s:%d: blank line skipped", source_name, lineno)
 
-    trades = Trades(*_columns(lines, source_name, note, _Ordinals(), (start, end)))
+    trades = Trades(*_columns(lines, source_name, note, _Ordinals(), start, end))
     if trades.names and not len(trades):  # every parsed row names two ids
         raise InputError("no transactions fall inside the requested window")
     logger.info("%s: ingested %d records", source_name, len(trades))
@@ -369,38 +368,30 @@ def ingest_file(path, start: Optional[dt.date] = None, end: Optional[dt.date] = 
     return _parse_file(path, lambda handle, source: ingest_transactions(handle, source, start, end))
 
 
-def aggregate_window(
-    trades: Trades,
-    start: Optional[dt.date] = None,
-    end: Optional[dt.date] = None,
-) -> FinancialNetwork:
-    """Sum trade volumes per (lender, borrower) pair inside [start, end].
+def aggregate_window(trades: Trades) -> FinancialNetwork:
+    """Sum trade volumes per (lender, borrower) pair over a table whose
+    date window, if any, :func:`ingest_file` applied while parsing.
 
-    Node index order is first-appearance order over the selected trades
-    (lender before borrower), which makes aggregation deterministic and
-    permutation of volumes within a pair irrelevant. Each pair is summed
-    one trade at a time in row order. Trades ingested with a window need none here.
+    Node index order is first-appearance order over the trades (lender
+    before borrower), which makes aggregation deterministic and
+    permutation of volumes within a pair irrelevant; ids that only
+    trades outside the window named are left out. Each pair is summed
+    one trade at a time in row order.
     """
-    if not len(trades):
-        raise InputError("the input holds no trades")
-    keep = _in_window(trades.day, start, end)
-    lender, borrower = trades.lender[keep], trades.borrower[keep]
-    m = lender.size
+    m = len(trades)
     if not m:
-        raise InputError("no transactions fall inside the requested window")
+        raise InputError("the input holds no trades")
     first = np.full(len(trades.names), 2 * m)  # row k's lender at 2k, its borrower at 2k + 1
-    np.minimum.at(first, lender, np.arange(0, 2 * m, 2))
-    np.minimum.at(first, borrower, np.arange(1, 2 * m, 2))
+    np.minimum.at(first, trades.lender, np.arange(0, 2 * m, 2))
+    np.minimum.at(first, trades.borrower, np.arange(1, 2 * m, 2))
     codes = np.argsort(first)  # absent codes keep first == 2 * m, so they sort last
     position = np.argsort(codes)
     n = np.count_nonzero(first < 2 * m)
     # Each row's pair key, built in place, and its slot among the distinct keys
-    # ascending; at most three arrays of the window's length live at a time.
-    key = position[lender]
-    del lender
+    # ascending; at most three arrays of the table's length live at a time.
+    key = position[trades.lender]
     key *= n
-    key += position[borrower]
-    del borrower
+    key += position[trades.borrower]
     order = np.argsort(key)
     key = key[order]
     new = np.concatenate(([True], key[1:] != key[:-1]))
@@ -410,7 +401,7 @@ def aggregate_window(
     slot = np.empty_like(order)
     slot[order] = rank
     del order, rank
-    totals = np.bincount(slot, weights=trades.amount[keep], minlength=pairs.size)
+    totals = np.bincount(slot, weights=trades.amount, minlength=pairs.size)
     nodes = tuple(trades.names[c] for c in codes[:n].tolist())
     return FinancialNetwork(nodes, pairs // n, pairs % n, totals)
 

@@ -103,8 +103,8 @@ def debtrank_metric(ens: CascadeEnsemble, strengths: NodeStrengths) -> tuple[np.
     if total <= 0:
         raise ParameterError("total lending is zero; no economic value weights")
     values = strengths.out_strength / total
-    # One 1-D dot per seed, as np.vecdot takes each row: a matrix-vector
-    # product may sum in another order. Every seed starts fully
-    # distressed, so its own share is values[seed].
-    per_seed = np.vecdot(ens.final_distress, values) - values
+    # One 1-D dot per seed: a matrix-vector product may sum in another
+    # order. Every seed starts fully distressed, so its own share is
+    # values[seed].
+    per_seed = np.array([row @ values for row in ens.final_distress]) - values
     return per_seed, float(np.mean(per_seed))

@@ -79,15 +79,15 @@ def test_aggregate_sums_duplicate_pairs():
 
 
 def test_aggregate_window_filters_dates():
-    trades = ingest_transactions(["B1,B2,3.0,2000-04-01", "B1,B2,5.0,2000-05-01"])
-    net = aggregate_window(trades, end=dt.date(2000, 4, 30))
+    trades = ingest_transactions(["B1,B2,3.0,2000-04-01", "B1,B2,5.0,2000-05-01"],
+                                 end=dt.date(2000, 4, 30))
+    net = aggregate_window(trades)
     assert loans_of(net) == {(0, 1): 3.0}
 
 
 def test_aggregate_empty_window_errors():
-    trades = ingest_transactions(["B1,B2,3.0,2000-04-03"])
     with pytest.raises(InputError, match="window"):
-        aggregate_window(trades, start=dt.date(2001, 1, 1))
+        ingest_transactions(["B1,B2,3.0,2000-04-03"], start=dt.date(2001, 1, 1))
 
 
 def test_aggregate_t3_fixture_file(t3):
@@ -346,22 +346,20 @@ def trade_streams(draw):
     start=dt.date(2020, 1, 2), end=dt.date(2020, 1, 4),
 )
 def test_ingest_aggregate_matches_per_record_loop(lines, start, end, caplog):
-    """Aggregating the window of every trade, or every trade of a table
-    ingested with the window, gives the per-record loop's outcome."""
+    """Aggregating a table ingested with the window gives the per-record
+    loop's outcome."""
     expected_warnings, expected = per_record_ingest(lines, start, end)
-    for build in (lambda: aggregate_window(ingest_transactions(lines), start, end),
-                  lambda: aggregate_window(ingest_transactions(lines, start=start, end=end))):
-        caplog.clear()
-        with caplog.at_level("WARNING", logger="ibrisk.network"):
-            try:
-                got = build()
-            except InputError as exc:
-                got = str(exc)
-        assert caplog.messages == expected_warnings
-        if isinstance(expected, str):
-            assert got == expected
-        else:
-            assert got == network_of(*expected)  # same nodes, pairs and amount bits
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="ibrisk.network"):
+        try:
+            got = aggregate_window(ingest_transactions(lines, start=start, end=end))
+        except InputError as exc:
+            got = str(exc)
+    assert caplog.messages == expected_warnings
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got == network_of(*expected)  # same nodes, pairs and amount bits
     if not isinstance(expected, str):  # names cover every parsed row, in the window or not
         names = ingest_transactions(lines).names
         assert ingest_transactions(lines, start=start, end=end).names == names
@@ -656,14 +654,15 @@ def test_irregular_snapshot_reads_other_chunks_as_columns(tmp_path, monkeypatch)
     assert len(calls) == 1
 
 
-# Ingest and aggregation keep the trade table plus temporaries the size
-# of the window's rows. Reading 40k trades (in 4k-character blocks, so
-# that a block's per-field strings stay small) and summing the half
-# inside the window peaks at 1.47x the table's columns under tracemalloc;
-# keeping every column's pieces until all are joined, or building
-# interleaved or full-size unique temporaries, reads 2.47x. Ingesting
-# with the window drops each block's other rows as it goes, so the table
-# holds the window's rows alone: 0.95x the whole table's columns.
+# Ingest with a date window keeps only the window's trades: each block's
+# other rows are dropped as it goes, and aggregation adds temporaries the
+# size of the window's rows. Reading 40k trades (in 4k-character blocks,
+# so that a block's per-field strings stay small) with a window that
+# keeps half of them, and summing those, peaks at 0.94x the whole
+# table's columns under tracemalloc. Building the whole table and
+# filtering it reads 1.47x; keeping every column's pieces until all are
+# joined, or building interleaved or full-size unique temporaries on top,
+# reads 2.47x.
 def test_ingest_and_aggregate_peak_memory(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     pair = rng.choice(200 * 199, 2000, replace=False)[rng.integers(2000, size=40_000)]
@@ -672,30 +671,22 @@ def test_ingest_and_aggregate_peak_memory(tmp_path, monkeypatch):
     amount = rng.lognormal(3.0, 1.0, size=40_000).round(2) + 0.01
     dates = [(dt.date(2023, 1, 1) + dt.timedelta(days=d)).isoformat() for d in range(730)]
     day = rng.integers(730, size=40_000)
-    path = tmp_path / "trades.csv"
-    path.write_text("".join(
-        f"n{i},n{j},{a!r},{dates[d]}\n"
-        for i, j, a, d in zip(lender.tolist(), borrower.tolist(), amount.tolist(), day.tolist())
-    ))
+    lines = [f"n{i},n{j},{a!r},{dates[d]}\n"
+             for i, j, a, d in zip(lender.tolist(), borrower.tolist(), amount.tolist(), day.tolist())]
+    path, inside = tmp_path / "trades.csv", tmp_path / "window.csv"
+    path.write_text("".join(lines))
+    inside.write_text("".join(line for line in lines if "2023-07-02" <= line[-11:-1] <= "2024-06-30"))
     monkeypatch.setattr(network, "READ_BLOCK", 4096)
-    window = (dt.date(2023, 7, 2), dt.date(2024, 6, 30))
-    tracemalloc.start()
-    try:
-        trades = network.ingest_file(path)
-        net = aggregate_window(trades, *window)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    columns = (trades.lender, trades.borrower, trades.amount, trades.day)
-    table = sum(column.nbytes for column in columns)
-    assert (len(trades), net.n_edges) == (40_000, 2000)
-    assert peak < 1.75 * table
+    trades = network.ingest_file(path)
+    table = sum(column.nbytes for column in (trades.lender, trades.borrower, trades.amount, trades.day))
+    assert len(trades) == 40_000
     del trades
     tracemalloc.start()
     try:
-        windowed = aggregate_window(network.ingest_file(path, *window))
+        net = aggregate_window(network.ingest_file(path, dt.date(2023, 7, 2), dt.date(2024, 6, 30)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert windowed == net
+    assert net == aggregate_window(network.ingest_file(inside))
+    assert net.n_edges == 2000
     assert peak < 1.2 * table
