@@ -23,6 +23,7 @@ logger = logging.getLogger(__name__)
 # the last line; on 300k trades 64k peaked 3 MB below 16k and 9 MB below
 # 256k, and ran fastest.
 READ_BLOCK = 65536
+WRITE_PIECE = 4096  # loans per formatted piece of a snapshot, so no string holds all
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,9 @@ class FinancialNetwork:
     read-only int64, int64 and float64 arrays sorted by (lender, borrower)
     and raises InputError for columns of different lengths, indices that
     are not integers in [0, N), self-loops, amounts that are not finite
-    and positive, and a repeated pair. Equality compares every bit.
+    and positive, and a repeated pair. Loans in that order are not sorted.
+    An array of the caller's that no sort or conversion replaced is copied
+    unless it is read-only and owns its memory. Equality compares every bit.
     """
 
     nodes: tuple[str, ...]
@@ -71,7 +74,7 @@ class FinancialNetwork:
             raise InputError(f"loan columns must be 1-D and of one length, got shapes {shapes}")
         if amount.size and not (lender.dtype.kind in "iu" and borrower.dtype.kind in "iu"):
             raise InputError("loan node indices must be integers")
-        lender, borrower = lender.astype(np.int64), borrower.astype(np.int64)
+        lender, borrower = (column.astype(np.int64, copy=False) for column in (lender, borrower))
         n = len(self.nodes)
         k = _first((lender < 0) | (lender >= n) | (borrower < 0) | (borrower >= n))
         if k is not None:
@@ -85,12 +88,16 @@ class FinancialNetwork:
                 f"loan {self._pair(lender[k], borrower[k])}: amount must be finite "
                 f"and strictly positive, got {amount[k]}"
             )
-        order = np.argsort(lender * n + borrower)  # keys tie only on a repeated pair
-        lender, borrower, amount = lender[order], borrower[order], amount[order]
-        k = _first((lender[1:] == lender[:-1]) & (borrower[1:] == borrower[:-1]))
-        if k is not None:
-            raise InputError(f"duplicate loan {self._pair(lender[k], borrower[k])}")
+        key = lender * n + borrower
+        if not (key[1:] > key[:-1]).all():  # else in order, and no pair repeats
+            order = np.argsort(key)  # keys tie only on a repeated pair
+            lender, borrower, amount = lender[order], borrower[order], amount[order]
+            k = _first((lender[1:] == lender[:-1]) & (borrower[1:] == borrower[:-1]))
+            if k is not None:
+                raise InputError(f"duplicate loan {self._pair(lender[k], borrower[k])}")
         for name, array in (("lender", lender), ("borrower", borrower), ("amount", amount)):
+            if array.base is not None or (array is getattr(self, name) and array.flags.writeable):
+                array = array.copy()  # the caller's, which it may still write to
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
@@ -206,11 +213,10 @@ def _plain_chunk(text: str, count: int, lineno: int, index: _Index, note,
     ids = [""] * (2 * n)
     ids[0::2], ids[1::2] = fields[0::n_fields], fields[1::n_fields]
     codes = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=2 * n)
-    day = np.zeros(n, dtype=np.int64)
     try:
         amount = np.fromiter(map(float, fields[2::n_fields]), dtype=np.float64, count=n)
-        if ordinal is not None:
-            day = np.fromiter(map(ordinal.__getitem__, fields[3::4]), dtype=np.int64, count=n)
+        day = () if ordinal is None else (
+            np.fromiter(map(ordinal.__getitem__, fields[3::4]), dtype=np.int64, count=n),)
     except ValueError:
         return None
     if "" in index or (codes[0::2] == codes[1::2]).any() or not (
@@ -219,7 +225,7 @@ def _plain_chunk(text: str, count: int, lineno: int, index: _Index, note,
         return None
     for k, line in comments:
         note(lineno + k, line)
-    return codes[0::2].copy(), codes[1::2].copy(), amount, day
+    return codes[0::2].copy(), codes[1::2].copy(), amount, *day
 
 
 def _by_line(lines: Iterable[str], lineno: int, source: str, index: _Index, note,
@@ -230,8 +236,8 @@ def _by_line(lines: Iterable[str], lineno: int, source: str, index: _Index, note
     Rows are trades (four fields, the last a date) given ``ordinal``, else
     loans (three fields), whose pair may not repeat among ``lines``. Calls
     ``note(line number, stripped line)`` for each blank or ``#`` line.
-    Returns the lender and borrower codes into ``index``, the amounts and
-    the day ordinals, which are zeros for loans.
+    Returns the lender and borrower codes into ``index``, the amounts and,
+    for trades, the day ordinals.
     """
     n_fields = 3 if ordinal is None else 4
     rows, seen = [], set()
@@ -272,10 +278,11 @@ def _by_line(lines: Iterable[str], lineno: int, source: str, index: _Index, note
             raise fault(f"duplicate loan {lender!r}->{borrower!r}")
         else:
             seen.add((lender, borrower))
-        rows.append((index[lender], index[borrower], amount, day))
+        rows.append((index[lender], index[borrower], amount, day)[:n_fields])
     # Codes and day ordinals are far below 2**53, so float64 holds them exactly.
-    lender, borrower, amount, day = np.array(rows, dtype=np.float64).reshape(-1, 4).T
-    return lender.astype(np.int64), borrower.astype(np.int64), amount.copy(), day.astype(np.int64)
+    lender, borrower, amount, *day = np.array(rows, dtype=np.float64).reshape(-1, n_fields).T
+    return lender.astype(np.int64), borrower.astype(np.int64), amount.copy(), *(
+        column.astype(np.int64) for column in day)
 
 
 def _blocks(handle: io.TextIOBase):
@@ -296,12 +303,12 @@ def _columns(lines, source: str, note, ordinal: Optional[_Ordinals] = None,
     by :func:`_plain_chunk` or else one line at a time by :func:`_by_line`;
     any other iterable of lines goes to :func:`_by_line` whole. Returns the
     ids in first-appearance order over every row and the lender, borrower,
-    amount and day columns of the rows dated inside [start, end] (a bound
-    of None is open), read-only. Each block's other rows are dropped
-    before the next block is read.
+    amount and, for trades, day columns of the rows dated inside [start,
+    end] (a bound of None is open), read-only. Each block's other rows are
+    dropped before the next block is read.
     """
     index = _Index()
-    columns = [(_NO_ROWS, _NO_ROWS, np.empty(0), _NO_ROWS)]
+    columns = [(_NO_ROWS, _NO_ROWS, np.empty(0), _NO_ROWS)[:3 if ordinal is None else 4]]
     low, high = (start or dt.date.min).toordinal(), (end or dt.date.max).toordinal()
 
     def keep(piece):  # a parsed block's rows dated inside [start, end]
@@ -427,15 +434,15 @@ def validate_network(net: FinancialNetwork) -> tuple[str, ...]:
 
 
 def write_snapshot(net: FinancialNetwork, path) -> None:
-    """Write an aggregated network snapshot (exact float round-trip)."""
+    """Write a network snapshot (exact float round-trip), WRITE_PIECE loans at a time."""
     nodes = net.nodes
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"# nodes={net.n_nodes} edges={net.n_edges}\n")
         handle.write("".join(f"# node {node}\n" for node in nodes))
-        handle.write("".join(
-            f"{nodes[i]},{nodes[j]},{a!r}\n"
-            for i, j, a in zip(net.lender.tolist(), net.borrower.tolist(), net.amount.tolist())
-        ))
+        columns = (net.lender, net.borrower, net.amount)
+        for k in range(0, net.n_edges, WRITE_PIECE):
+            loans = zip(*(column[k : k + WRITE_PIECE].tolist() for column in columns))
+            handle.write("".join(f"{nodes[i]},{nodes[j]},{a!r}\n" for i, j, a in loans))
 
 
 def _snapshot_from_lines(lines: Iterable[str], source: str) -> FinancialNetwork:
@@ -452,10 +459,12 @@ def _snapshot_from_lines(lines: Iterable[str], source: str) -> FinancialNetwork:
         elif line.startswith("# nodes="):
             headers.append((lineno, line))
 
-    ids, lender, borrower, amount, _ = _columns(lines, source, note)
+    ids, lender, borrower, amount = _columns(lines, source, note)
     position = {node: k for k, node in enumerate(dict.fromkeys([*declared, *ids]))}
     remap = np.array([position[name] for name in ids], dtype=np.int64)
-    net = FinancialNetwork(tuple(position), remap[lender], remap[borrower], amount)
+    lender, borrower = np.take(remap, lender), np.take(remap, borrower)
+    lender.flags.writeable = borrower.flags.writeable = False  # the constructor keeps them
+    net = FinancialNetwork(tuple(position), lender, borrower, amount)
     expected = f"# nodes={len(position)} edges={amount.size}"
     if headers and headers[-1][1] != expected:
         raise InputError(
@@ -472,9 +481,10 @@ def read_snapshot(path) -> FinancialNetwork:
     node to itself or name an empty node id, no node or (lender,
     borrower) pair may appear twice, and a ``# nodes=N edges=E`` header
     must match the body. Violations raise an error naming the line.
-    The file is read once by :func:`_columns`, like trades; only after a
-    fault is it read again, as a generator of its lines, one line at a
-    time, which names the earliest.
+    The file is read once by :func:`_columns`, like trades but with no
+    day column, and loans written in canonical order are not sorted. Only
+    after a fault is it read again, as a generator of its lines, one line
+    at a time, which names the earliest.
     """
     try:
         return _parse_file(path, _snapshot_from_lines)

@@ -169,6 +169,32 @@ def test_constructor_sorts_and_freezes_loans():
     assert net != FinancialNetwork(("a", "c", "b"), lender, borrower, amount)
 
 
+class Column(np.ndarray):
+    """An ndarray subclass, which ``np.asarray`` turns into a view."""
+
+
+# The constructor skips the sort of loans already in canonical order and
+# converts int64 indices without a copy, yet it must neither freeze nor
+# alias an array of the caller's that no sort or conversion replaced.
+@pytest.mark.parametrize(
+    "lender, borrower, dtype, kind",
+    [
+        pytest.param([0, 0, 2], [1, 2, 0], np.int64, np.ndarray, id="sorted-int64"),
+        pytest.param([2, 0, 0], [0, 2, 1], np.int64, np.ndarray, id="unsorted-int64"),
+        pytest.param([0, 0, 2], [1, 2, 0], np.int32, np.ndarray, id="sorted-int32"),
+        pytest.param([0, 0, 2], [1, 2, 0], np.int64, Column, id="sorted-int64-subclass"),
+    ],
+)
+def test_constructor_neither_freezes_nor_aliases_callers_arrays(lender, borrower, dtype, kind):
+    lender, borrower = (np.array(column, dtype=dtype).view(kind) for column in (lender, borrower))
+    amount = np.array([3.0, 2.0, 1.0]).view(kind)
+    net = FinancialNetwork(("a", "b", "c"), lender, borrower, amount)
+    before = FinancialNetwork(("a", "b", "c"), lender.copy(), borrower.copy(), amount.copy())
+    assert all(array.flags.writeable for array in (lender, borrower, amount))
+    lender[:], borrower[:], amount[:] = 1, 0, 9.0
+    assert net == before
+
+
 @given(
     st.permutations(
         [
@@ -690,3 +716,43 @@ def test_ingest_and_aggregate_peak_memory(tmp_path, monkeypatch):
     assert net == aggregate_window(network.ingest_file(inside))
     assert net.n_edges == 2000
     assert peak < 1.2 * table
+
+
+@pytest.fixture(scope="module")
+def synth_1000():
+    return generate_synthetic(SyntheticSpec(n_nodes=1000))  # 39,581 loans
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# write_snapshot formats and writes WRITE_PIECE loans at a time, so its
+# peak does not grow with the number of loans: 0.63 MiB under tracemalloc
+# for the 39,581 loans of synth N=1000 (0.50 MiB for the 38,759 of
+# perfbench's ingest-300k network). Formatting every loan line into one
+# string, as one join, peaked at 5.27 MiB (4.74 MiB).
+def test_write_snapshot_peak_memory_is_bounded(tmp_path, synth_1000):
+    path = tmp_path / "net.csv"
+    _, peak = traced_peak(lambda: write_snapshot(synth_1000, path))
+    assert peak < 1 << 20
+    assert read_snapshot(path) == synth_1000
+
+
+# read_snapshot of a file in canonical loan order makes no dtype copy, no
+# sort and no day column: synth N=1000 peaks at 2.27x its loan columns'
+# bytes under tracemalloc (2.06 MiB for 0.91 MiB; 27.9 MiB for 13.5 MiB
+# at N=4000). With int64 copies, a sort of sorted loans, remaps the
+# constructor copied and a zero day column per loan it read 4.28x (54.9
+# MiB at N=4000).
+def test_read_snapshot_peak_memory_is_bounded(tmp_path, synth_1000):
+    path = tmp_path / "net.csv"
+    write_snapshot(synth_1000, path)
+    net, peak = traced_peak(lambda: read_snapshot(path))
+    assert net == synth_1000
+    assert peak < 3.0 * sum(array.nbytes for array in (net.lender, net.borrower, net.amount))
