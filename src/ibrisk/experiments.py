@@ -58,15 +58,14 @@ def evaluate_point(
     """Run the full seed ensemble with the fund on ``cal``, and reduce.
 
     Impact is zero on an edgeless network. ROI is NaN when ``rates`` is
-    None; with rates given, a node of zero balance raises ParameterError
-    before the ensemble runs, and so does an ROI that overflows float64.
+    None; with rates, ``nominal_roi``'s checks raise before the ensemble
+    (so ahead of p > 1), and only a market ROI overflow raises after it.
     """
     n = cal.net.n_nodes
     nominal, adjusted = np.full((2, n), np.nan)  # unless rates are given
     weighted = unweighted = float("nan")
-    if rates is not None:  # checks every balance first
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below
-            nominal = nominal_roi(cal, rates)
+    if rates is not None:  # checks every balance and node ROI first
+        nominal = nominal_roi(cal, rates)
     ensemble = run_ensemble(cal)
     delta = default_counts(ensemble)
     node_risk, system_risk = cascade_risk(delta, n)
@@ -80,10 +79,8 @@ def evaluate_point(
             adjusted = risk_adjusted_roi(nominal, p)
             weighted = float(np.average(adjusted, weights=cal.balance))
             unweighted = float(np.mean(adjusted))
-        if not np.isfinite([weighted, unweighted]).all():  # as when any node's ROI is not
-            bad = np.flatnonzero(~np.isfinite(nominal))
-            what = f"node {cal.net.nodes[bad[0]]!r}: ROI" if bad.size else "the market ROI"
-            raise ParameterError(f"{what} overflows float64")
+        if not np.isfinite([weighted, unweighted]).all():
+            raise ParameterError("the market ROI overflows float64")
     return PointResult(
         cascade_risk_system=system_risk,
         cascade_risk_nodes=node_risk,
@@ -236,8 +233,7 @@ def generate_synthetic(spec: SyntheticSpec) -> FinancialNetwork:
     prob[:n_core, :n_core] = np.maximum(prob[:n_core, :n_core], _CORE_EDGE_PROB)
     np.fill_diagonal(prob, 0.0)
 
-    adjacency = rng.uniform(size=(n, n)) < prob
-    np.fill_diagonal(adjacency, False)
+    adjacency = rng.uniform(size=(n, n)) < prob  # no self-loop: prob's diagonal is 0
     # No fully isolated nodes: attach stragglers to the biggest hub so
     # every node has a balance sheet.
     for i in range(n):

@@ -91,6 +91,7 @@ class FinancialNetwork:
         key = lender * n + borrower
         if not (key[1:] > key[:-1]).all():  # else in order, and no pair repeats
             order = np.argsort(key)  # keys tie only on a repeated pair
+            del key  # free it before the gathers below
             lender, borrower, amount = lender[order], borrower[order], amount[order]
             k = _first((lender[1:] == lender[:-1]) & (borrower[1:] == borrower[:-1]))
             if k is not None:

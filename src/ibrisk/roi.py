@@ -39,8 +39,8 @@ def nominal_roi(cal: CalibratedNetwork, rates: RoiRates = DEFAULT_RATES) -> np.n
     """Per-node nominal ROI.
 
     [roi_int * lent + roi_ext * D + roi_e * (1 - alpha) * E
-     + roi_f * alpha * E] / B, where D = B - lent - E. With alpha = 0
-    this is the plain no-fund nominal ROI. A zero balance raises ParameterError.
+     + roi_f * alpha * E] / B, where D = B - lent - E; alpha = 0 is no fund.
+    ParameterError names the first node of zero balance, else of ROI overflow.
     """
     lent = cal.strengths.out_strength
     balance = cal.balance
@@ -49,17 +49,21 @@ def nominal_roi(cal: CalibratedNetwork, rates: RoiRates = DEFAULT_RATES) -> np.n
         raise ParameterError(f"node {cal.net.nodes[zero[0]]!r} has zero balance; ROI undefined")
     alpha = cal.params.alpha
     external = cal.external_assets()
-    if alpha == 0.0 or rates.roi_e == rates.roi_f:
-        # Algebraic collapse keeps alpha-independence exact when the
-        # fund earns the same rate as the reserve.
-        reserve_term = rates.roi_e * cal.reserve
-    else:
-        reserve_term = (
-            rates.roi_e * (1.0 - alpha) * cal.reserve
-            + rates.roi_f * alpha * cal.reserve
-        )
-    numerator = rates.roi_int * lent + rates.roi_ext * external + reserve_term
-    return numerator / balance
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below
+        if alpha == 0.0 or rates.roi_e == rates.roi_f:
+            # Algebraic collapse keeps alpha-independence exact when the
+            # fund earns the same rate as the reserve.
+            reserve_term = rates.roi_e * cal.reserve
+        else:
+            reserve_term = (
+                rates.roi_e * (1.0 - alpha) * cal.reserve
+                + rates.roi_f * alpha * cal.reserve
+            )
+        roi = (rates.roi_int * lent + rates.roi_ext * external + reserve_term) / balance
+    bad = np.flatnonzero(~np.isfinite(roi))
+    if bad.size:
+        raise ParameterError(f"node {cal.net.nodes[bad[0]]!r}: ROI overflows float64")
+    return roi
 
 
 def risk_adjusted_roi(nominal: np.ndarray, default_prob: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import io
+import logging
 import math
 import os
 import subprocess
@@ -194,7 +195,7 @@ ISOLATED_ZZ = "# nodes=4 edges=2\n" + NODES_ABC + "# node zz\na,b,5.0\nb,c,2.0\n
 # "{out}" for the output directory, where a directory named in TAKEN
 # stands in the way of a file the command writes.
 CONFIG_LINES = {"unknown-config-key": "etta=0.1\n", "bad-config-bool": "trace=treu\n",
-                "non-utf8-config": b"eta=0.1\xff\n"}
+                "non-utf8-config": b"eta=0.1\xff\n", "config-line-without-eq": "eta=0.1\nbeta\n"}
 TAKEN = {"risk-csv-taken": "risk.csv", "run-cfg-taken": "run.cfg"}
 ERROR_CASES = {
     "nan-amount": (
@@ -390,6 +391,46 @@ ERROR_CASES = {
         ["risk", "--p-exo", "1e-320"], "synth:n_nodes=40", ParameterError.exit_code,
         "error: exogenous probability is subnormal: 1e-320 < 2.2250738585072014e-308",
     ),
+    # A node's ROI is checked before the seed ensemble, so it is reported
+    # though (1 + delta) * p_exo would exceed 1 at t3's node '3'.
+    "roi-rate-overflow-before-p-exo": (
+        ["roi", "--roi-int", "1e308", "--p-exo", 0.5], None,
+        ParameterError.exit_code, "error: node '2': ROI overflows float64",
+    ),
+    "cascade-without-seed-node": (
+        ["cascade"], None, ParameterError.exit_code, "error: --seed-node is required for cascade",
+    ),
+    "cascade-unknown-seed-node": (
+        ["cascade", "--seed-node", "zz"], None,
+        InputError.exit_code, "error: unknown node id 'zz'",
+    ),
+    "synth-snapshot-input": (
+        ["synth"], "# nodes=2 edges=1\na,b,1.0\n",
+        ParameterError.exit_code, "error: synth expects --input synth:k=v,... (or no input)",
+    ),
+    "synth-fragment-without-eq": (
+        ["synth"], "synth:n_nodes", ParameterError.exit_code,
+        "error: bad synth spec fragment 'n_nodes'",
+    ),
+    "synth-one-node": (
+        ["synth"], "synth:n_nodes=1", ParameterError.exit_code, "error: need at least 2 nodes",
+    ),
+    "synth-core-fraction-zero": (
+        ["synth"], "synth:core_fraction=0",
+        ParameterError.exit_code, "error: core fraction must be in (0, 1]",
+    ),
+    "iso-negative-increase": (
+        ["iso", "--eta-increases=-0.1"], None,
+        ParameterError.exit_code, "error: eta increases must be nonnegative",
+    ),
+    "iso-decreasing-increases": (
+        ["iso", "--eta-increases", "0.1,0.05"], None,
+        ParameterError.exit_code, "error: eta increase grid must be strictly increasing",
+    ),
+    "config-line-without-eq": (
+        ["risk", "--config", "{config}"], None,
+        InputError.exit_code, "error: {config}:2: expected key=value",
+    ),
 }
 
 
@@ -417,6 +458,64 @@ def test_error_exit_codes(case, t3_file, tmp_path, capsys):
     assert code == expected_code
     assert err.count("\n") == 1, err  # one line, no traceback
     assert message.format(input=source, config=config, out=out) in err
+
+
+def test_missing_input_flag(tmp_path, capsys):
+    assert run_cli(["risk", "--out", tmp_path / "o"]) == ParameterError.exit_code
+    assert capsys.readouterr().err == "error: --input is required for this command\n"
+
+
+# The errno text after these prefixes comes from the operating system.
+def test_output_path_is_a_file(t3_file, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert run_cli(["risk", "--input", t3_file, "--out", out]) == InputError.exit_code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {out}: ")
+    assert err.count("\n") == 1, err
+
+
+def test_input_path_is_a_directory(tmp_path, capsys):
+    source = tmp_path / "dir"
+    source.mkdir()
+    assert run_cli(["risk", "--input", source, "--out", tmp_path / "o"]) == InputError.exit_code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {source}: ")
+    assert err.count("\n") == 1, err
+
+
+def test_config_comment_line_skipped(t3_file, tmp_path, capsys):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("# a comment\neta=0.01\n")
+    out = tmp_path / "out"
+    assert run_cli(["risk", "--input", t3_file, "--config", cfg, "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    assert "eta=0.01\n" in (out / "run.cfg").read_text()
+
+
+T3_SNAPSHOT = "# nodes=3 edges=2\n# node 1\n# node 2\n# node 3\n2,1,8.0\n3,2,6.0\n"
+
+
+# At eta 0.01, raising the reserve by 1000% clears every cascade of t3,
+# while even a full fund (1.4 against loans of 8 and 6) leaves p^C at 0.5.
+def test_iso_saturated_point(tmp_path, capsys):
+    source = tmp_path / "t3.csv"
+    source.write_text(T3_SNAPSHOT)
+    out = tmp_path / "out"
+    args = ["iso", "--input", source, "--eta", 0.01, "--eta-increases", "0,1,10", "--out", out]
+    assert run_cli(args) == 0
+    assert capsys.readouterr().out == "iso points=3 saturated=1\n"
+    assert (out / "iso.csv").read_text().splitlines()[3] == "10.0,1.0,1.0,0.0,0.5"
+
+
+# Logged as "WARNING isolated node 'zz'" on stderr when run as a script
+# (see test_failure_ends_stderr_with_one_error_line for that format).
+def test_ingest_warns_of_isolated_node(tmp_path, capsys, caplog):
+    source = tmp_path / "snapshot.csv"
+    source.write_text(ISOLATED_ZZ)
+    assert run_cli(["ingest", "--input", source, "--out", tmp_path / "o"]) == 0
+    assert capsys.readouterr().out == "nodes=4 edges=2\n"
+    assert caplog.record_tuples == [("ibrisk.cli", logging.WARNING, "isolated node 'zz'")]
 
 
 def test_every_flag_has_help():

@@ -22,6 +22,7 @@ from ibrisk import contagion
 
 from loan_dicts import loans_of, network
 from oracle import naive_cascade, naive_payouts
+from reference import naive_trace
 
 PARAMS = CalibrationParams(beta=10.0, eta=0.05, alpha=0.0)
 PARAMS_FUND = CalibrationParams(beta=10.0, eta=0.05, alpha=1.0)
@@ -474,6 +475,29 @@ def test_run_cascade_matches_ensemble_row_property(net, eta, alpha, cells):
         assert len(one.trace) == one.steps[0] + (seed in borrowers)
         assert one.trace[0].tobytes() == np.eye(1, net.n_nodes, seed).tobytes()
         assert one.trace[-1].tobytes() == one.final_distress.tobytes()
+
+
+# run_cascade's trace holds the same snapshots as the naive loop, bit for
+# bit, for every seed. The t3 examples hold a seed without lenders (node
+# '3') and, at alpha 1, a fully funded one (node '2'); one adds an
+# isolated node, and one has no reserve, where every weight is infinite.
+@settings(max_examples=100, deadline=None)
+@given(
+    net=small_networks(max_nodes=8),
+    eta=st.one_of(st.just(0.0), st.floats(0.0, 0.2)),
+    alpha=st.sampled_from([0.0, 0.5, 1.0]),
+)
+@example(net=network(("1", "2", "3"), {(1, 0): 8.0, (2, 1): 6.0}), eta=0.05, alpha=1.0)
+@example(net=network(("1", "2", "3", "zz"), {(1, 0): 8.0, (2, 1): 6.0}), eta=0.05, alpha=0.5)
+@example(net=network(("1", "2", "3"), {(1, 0): 8.0, (2, 1): 6.0}), eta=0.0, alpha=0.0)
+def test_trace_matches_naive_trace_property(net, eta, alpha):
+    cal = calibrate(net, CalibrationParams(beta=10.0, eta=eta, alpha=alpha))
+    loans = loans_of(net)
+    for seed in range(net.n_nodes):
+        payouts = naive_payouts(loans, cal.fund_contribution.tolist(), seed)
+        expected = naive_trace(net.n_nodes, loans, cal.reserve.tolist(), seed, payouts)
+        trace = run_cascade(cal, seed).trace
+        assert np.concatenate(trace).tobytes() == np.array(expected).tobytes()
 
 
 # At eta 1e-310 the reserves are subnormal and loss / reserve overflows

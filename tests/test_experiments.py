@@ -4,7 +4,9 @@ import pytest
 from ibrisk import (
     CalibrationParams,
     FinancialNetwork,
+    IsoPoint,
     ParameterError,
+    RoiRates,
     SyntheticSpec,
     calibrate,
     evaluate_point,
@@ -53,6 +55,18 @@ def test_zero_balance_fails_before_ensemble(monkeypatch):
         sweep(net, params, "alpha", DEFAULT_ALPHA_GRID)
 
 
+# A rate whose ROI overflows float64 at t3's node '2' (it lends 8) fails
+# in nominal_roi, before the seed ensemble, with no numpy warning.
+def test_roi_overflow_fails_before_ensemble(t3, monkeypatch):
+    def no_ensemble(cal):
+        raise AssertionError("the seed ensemble ran")
+
+    monkeypatch.setattr(experiments, "run_ensemble", no_ensemble)
+    cal = calibrate(t3, CalibrationParams(10.0, 0.05, 0.0))
+    with pytest.raises(ParameterError, match="^node '2': ROI overflows float64$"):
+        evaluate_point(cal, RoiRates(roi_int=1e308))
+
+
 def test_zero_balance_roi_is_nan_without_rates():
     net = FinancialNetwork(("a", "b", "c"), lender=[0], borrower=[1], amount=[5.0])
     point = evaluate_point(calibrate(net, CalibrationParams(10.0, 0.005, 0.0)), None)
@@ -67,6 +81,11 @@ def test_sweep_rejects_bad_grid(t3):
         sweep(t3, params, "eta", (0.01, 0.01))
     with pytest.raises(ParameterError):
         sweep(t3, params, "rho", (0.01,))
+
+
+def test_sweep_rejects_empty_grid(t3):
+    with pytest.raises(ParameterError, match="^sweep grid is empty$"):
+        sweep(t3, CalibrationParams(10.0, 0.0, 0.0), "eta", ())
 
 
 def test_sweep_dr_tracks_cascade_risk(t3):
@@ -105,6 +124,12 @@ def test_iso_bracket_when_target_drops(t3):
     assert point.alpha_lo <= 6 / 7 <= point.alpha_hi + 1e-4
     assert point.achieved_pc <= point.target_pc
     assert point.alpha_hi - point.alpha_lo <= 1e-4
+
+
+def test_iso_saturated_when_full_fund_misses_target(t3):
+    # A 1000% reserve raise clears every cascade; a full fund leaves p^C at 0.5.
+    points = iso_curve(t3, 0.01, (0.0, 1.0, 10.0))
+    assert points[2] == IsoPoint(10.0, 1.0, 1.0, 0.0, 0.5, True)
 
 
 def test_iso_alpha_nondecreasing_on_synthetic():

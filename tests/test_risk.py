@@ -75,6 +75,12 @@ def test_cascade_risk_bounds():
         cascade_risk(np.array([0]), 1)
 
 
+def test_cascade_risk_rejects_delta_out_of_range():
+    for delta in ([0, 3, 1], [0, -1, 1]):
+        with pytest.raises(ParameterError, match=r"^delta values must lie in \[0, N-1\]$"):
+            cascade_risk(np.array(delta), 3)
+
+
 def test_cascade_risk_cross_check(t3):
     # System risk equals total non-seed defaults / (N (N-1)).
     ens = _t3_ensemble(t3, PARAMS)
@@ -132,6 +138,11 @@ def test_cascade_risk_general_rejects_degenerate_vector():
     q = np.zeros((2, 2))
     with pytest.raises(ParameterError):
         cascade_risk_general(q, np.array([0.0, 0.0]))
+
+
+def test_cascade_risk_general_rejects_negative_probability():
+    with pytest.raises(ParameterError, match="^exogenous probabilities must be nonnegative$"):
+        cascade_risk_general(np.zeros((2, 2)), np.array([-0.1, 0.5]))
 
 
 def test_debtrank_t3(t3):

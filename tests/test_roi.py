@@ -51,6 +51,12 @@ def test_nominal_roi_rejects_zero_balance():
         nominal_roi(cal, RATES)
 
 
+def test_nominal_roi_rejects_overflow(t3):
+    cal = calibrate(t3, CalibrationParams(beta=10.0, eta=0.05, alpha=0.0))
+    with pytest.raises(ParameterError, match="^node '2': ROI overflows float64$"):
+        nominal_roi(cal, RoiRates(roi_int=1e308))  # node '1' lends nothing: 0.068
+
+
 def test_risk_adjusted_arithmetic():
     assert risk_adjusted_roi(np.array([0.06455]), np.array([0.002]))[0] == (
         pytest.approx(0.06455 * 0.998 - 0.002, abs=0)
