@@ -34,32 +34,29 @@ class CalibrationParams:
 
 @dataclass(frozen=True)
 class CalibratedNetwork:
-    """Network plus derived per-node balance, reserve and fund vectors,
-    and the strengths they were derived from."""
+    """Network plus derived per-node balance, reserve, fund and external
+    assets (held outside the money market: D = B - lent - E), and the
+    strengths they were derived from."""
 
     net: FinancialNetwork
     balance: np.ndarray
     reserve: np.ndarray
     fund_contribution: np.ndarray
+    external: np.ndarray
     params: CalibrationParams
     strengths: NodeStrengths
-
-    def external_assets(self) -> np.ndarray:
-        """Assets held outside the money market: D = B - lent - E."""
-        return self.balance - self.strengths.out_strength - self.reserve
 
 
 @dataclass(frozen=True)
 class PropagationWeights:
     """Distress-propagation edges in canonical (src, dst) order.
 
-    ``loss[k]`` is the underlying exposure A[dst, src]; ``weight[k]`` is
-    loss / reserve[dst], with the zero-reserve convention below.
+    ``weight[k]`` is the exposure A[dst, src] / reserve[dst], with the
+    zero-reserve convention below.
     """
 
     src: np.ndarray  # distressed borrower
     dst: np.ndarray  # its lender
-    loss: np.ndarray
     weight: np.ndarray
 
 
@@ -91,8 +88,7 @@ def calibrate(net: FinancialNetwork, params: CalibrationParams) -> CalibratedNet
         balance = params.beta * np.maximum(strengths.in_strength, strengths.out_strength)
         reserve = params.eta * balance
         fund = params.alpha * reserve
-        cal = CalibratedNetwork(net, balance, reserve, fund, params, strengths)
-        external = cal.external_assets()
+        external = balance - strengths.out_strength - reserve
         totals = {"out-strength": np.sum(strengths.out_strength), "balance": np.sum(balance)}
     for name, values in (("balance", balance), ("reserve", reserve),
                          ("fund contribution", fund), ("external assets", external)):
@@ -110,7 +106,7 @@ def calibrate(net: FinancialNetwork, params: CalibrationParams) -> CalibratedNet
             f"(D={external[bad[0]]:.6g}); beta={params.beta} is too small "
             "for its money-market concentration"
         )
-    return cal
+    return CalibratedNetwork(net, balance, reserve, fund, external, params, strengths)
 
 
 def propagation_weights(cal: CalibratedNetwork) -> PropagationWeights:
@@ -118,4 +114,4 @@ def propagation_weights(cal: CalibratedNetwork) -> PropagationWeights:
     net = cal.net
     order = np.argsort(net.borrower * net.n_nodes + net.lender)  # loans are unique pairs
     src, dst, loss = net.borrower[order], net.lender[order], net.amount[order]
-    return PropagationWeights(src, dst, loss, edge_weights(loss, cal.reserve[dst]))
+    return PropagationWeights(src, dst, edge_weights(loss, cal.reserve[dst]))

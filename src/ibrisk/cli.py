@@ -2,9 +2,10 @@
 
 Commands: ingest, cascade, risk, roi, sweep-eta, sweep-alpha, iso,
 synth. Parameters come from flags or a key=value config file (flags
-win). Every run writes a ``run.cfg`` echo of the effective parameters
-into the output directory, and all numeric CSV output uses round-trip
-decimal formatting so identical configs produce identical bytes.
+win), and each scalar one is range-checked for every command, used or
+not, before any input is read. Every run writes a ``run.cfg`` echo of
+the effective parameters into the output directory, and all numeric CSV
+output uses round-trip decimal formatting so identical configs produce identical bytes.
 
 Exit codes: 0 success, 2 bad arguments, 3 input error, 4 calibration
 infeasible, 5 internal error (an invariant violation or any other
@@ -158,8 +159,6 @@ def load_network(config: dict, default: str | None = None) -> FinancialNetwork:
     if source.startswith("synth:"):
         return _synthetic(source, config["rng_seed"])
     path = Path(source)
-    if not path.exists():
-        raise InputError(f"input file not found: {path}")
     if network.is_snapshot_file(path):
         return network.read_snapshot(path)
     return network.aggregate_window(network.ingest_file(path, start, end))
@@ -271,13 +270,14 @@ COMMANDS = tuple(_HANDLERS)
 
 def execute_scenario(config: dict, command: str) -> str:
     """Run one command; returns the one-line summary. Raises on failure."""
+    check_p_exo(config["p_exo"])  # every scalar flag, for every command, before any input
+    _params(config)
+    _rates(config)
     out_dir = Path(config["out"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot create output directory {out_dir}: {exc}") from exc
-    if command in ("risk", "roi", "sweep-eta", "sweep-alpha"):
-        check_p_exo(config["p_exo"])  # before the input is loaded
     default = "synth:" if command == "synth" else None
     if default and not (config["input"] or default).startswith(default):
         raise ParameterError("synth expects --input synth:k=v,... (or no input)")

@@ -144,8 +144,10 @@ def iso_curve(
     brackets, not exact roots, are the honest answer. Targets
     unreachable even at alpha = 1 are reported as saturated.
     """
-    if any(d < 0 for d in eta_increase_grid):
+    if any(not d >= 0 for d in eta_increase_grid):  # NaN too
         raise ParameterError("eta increases must be nonnegative")
+    if any(d == np.inf for d in eta_increase_grid):
+        raise ParameterError("eta increases must be finite")
     if any(b <= a for a, b in zip(eta_increase_grid, eta_increase_grid[1:])):
         raise ParameterError("eta increase grid must be strictly increasing")
 
@@ -202,6 +204,8 @@ class SyntheticSpec:
             raise ParameterError(f"heterogeneity exponent must exceed 1, got {self.heterogeneity}")
         if not 0.0 < self.core_fraction <= 1.0:
             raise ParameterError("core fraction must be in (0, 1]")
+        if self.rng_seed < 0:
+            raise ParameterError(f"rng seed must be nonnegative, got {self.rng_seed}")
 
 
 # Directed core-core edge probability; high enough that >= 95% of core

@@ -48,7 +48,6 @@ def nominal_roi(cal: CalibratedNetwork, rates: RoiRates = DEFAULT_RATES) -> np.n
     if zero.size:
         raise ParameterError(f"node {cal.net.nodes[zero[0]]!r} has zero balance; ROI undefined")
     alpha = cal.params.alpha
-    external = cal.external_assets()
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below
         if alpha == 0.0 or rates.roi_e == rates.roi_f:
             # Algebraic collapse keeps alpha-independence exact when the
@@ -59,7 +58,7 @@ def nominal_roi(cal: CalibratedNetwork, rates: RoiRates = DEFAULT_RATES) -> np.n
                 rates.roi_e * (1.0 - alpha) * cal.reserve
                 + rates.roi_f * alpha * cal.reserve
             )
-        roi = (rates.roi_int * lent + rates.roi_ext * external + reserve_term) / balance
+        roi = (rates.roi_int * lent + rates.roi_ext * cal.external + reserve_term) / balance
     bad = np.flatnonzero(~np.isfinite(roi))
     if bad.size:
         raise ParameterError(f"node {cal.net.nodes[bad[0]]!r}: ROI overflows float64")

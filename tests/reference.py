@@ -1,5 +1,8 @@
 """Naive references beside ``oracle.py``, in its style: plain lists and
 loops, independent of the engine."""
+import numpy as np
+
+from oracle import naive_cascade, naive_payouts
 
 
 def naive_trace(n, loans, reserve, seed, payouts=None):
@@ -36,3 +39,56 @@ def naive_trace(n, loans, reserve, seed, payouts=None):
             h[dst] = min(1.0, h[dst] + weight * h_prev[src])
             used.add(k)
         trace.append(list(h))
+
+
+def naive_point(loans, cal, rates, p_exo):
+    """Every field of ``evaluate_point(cal, rates, p_exo)``, as a dict.
+
+    Each seed's cascade is ``oracle.naive_cascade`` with the fund's
+    ``naive_payouts``; the calibrated values come from ``cal``. Where the
+    engine sums floats (each seed's impact dot, the mean impact, the
+    market averages) this applies the same numpy call to its own values,
+    so every field is bit-equal. ROI is NaN when ``rates`` is None.
+    """
+    n = cal.net.n_nodes
+    reserve, fund = cal.reserve.tolist(), cal.fund_contribution.tolist()
+    balance, external = cal.balance.tolist(), cal.external.tolist()
+    lent = cal.strengths.out_strength.tolist()
+    values = [x / float(np.sum(lent)) for x in lent] if loans else None
+    down, impact = [], [0.0] * n  # without loans no value is at risk
+    for seed in range(n):
+        h, defaulted, _ = naive_cascade(n, loans, reserve, seed,
+                                        payouts=naive_payouts(loans, fund, seed))
+        down.append(defaulted)
+        if loans:
+            impact[seed] = float(np.array(h) @ np.array(values)) - values[seed]
+    delta = [sum(1 for seed in range(n) if seed != i and i in down[seed]) for i in range(n)]
+    p = [(1.0 + d) * p_exo for d in delta]
+    nominal = adjusted = [float("nan")] * n
+    weighted = unweighted = float("nan")
+    if rates is not None:
+        alpha = cal.params.alpha
+        nominal = []
+        for i in range(n):
+            if alpha == 0.0 or rates.roi_e == rates.roi_f:  # the engine's exact collapse
+                reserve_term = rates.roi_e * reserve[i]
+            else:
+                reserve_term = (rates.roi_e * (1.0 - alpha) * reserve[i]
+                                + rates.roi_f * alpha * reserve[i])
+            nominal.append((rates.roi_int * lent[i] + rates.roi_ext * external[i]
+                            + reserve_term) / balance[i])
+        adjusted = [nominal[i] * (1.0 - p[i]) - p[i] for i in range(n)]
+        weighted = float(np.average(adjusted, weights=balance))
+        unweighted = float(np.mean(adjusted))
+    return {
+        "cascade_risk_system": sum(delta) / (n * (n - 1)),
+        "cascade_risk_nodes": [d / (n - 1) for d in delta],
+        "delta": delta,
+        "avg_debtrank": float(np.mean(impact)),
+        "debtrank_nodes": impact,
+        "roi_nominal": nominal,
+        "roi_risk_adjusted": adjusted,
+        "default_prob": p,
+        "market_roi_weighted": weighted,
+        "market_roi_unweighted": unweighted,
+    }

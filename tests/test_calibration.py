@@ -53,7 +53,7 @@ def test_calibration_infeasible_beta_names_node():
 
 def test_external_assets_nonnegative(t3):
     cal = calibrate(t3, CalibrationParams(beta=10.0, eta=0.05, alpha=0.0))
-    d = cal.external_assets()
+    d = cal.external
     assert np.all(d >= 0)
     assert d.tolist() == [80.0 - 4.0, 80.0 - 8.0 - 4.0, 60.0 - 6.0 - 3.0]
 
@@ -65,7 +65,6 @@ def test_propagation_weights_t3(t3):
     # of 6 becomes edge 2->3 with weight 6/E_3 = 2.
     assert list(zip(w.src.tolist(), w.dst.tolist())) == [(0, 1), (1, 2)]
     assert w.weight.tolist() == [2.0, 2.0]
-    assert w.loss.tolist() == [8.0, 6.0]
 
 
 def test_zero_reserve_gives_infinite_weight(t3):

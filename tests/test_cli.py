@@ -147,9 +147,14 @@ def test_config_file_with_flag_override(t3_file, tmp_path, capsys):
     assert "alpha=0.0" in (out / "run.cfg").read_text()
 
 
-def test_missing_input_file(tmp_path):
-    code = run_cli(["risk", "--input", tmp_path / "nope.csv", "--out", tmp_path / "o"])
+# Reported like any unreadable file; the errno text comes from the OS.
+def test_missing_input_file(tmp_path, capsys):
+    source = tmp_path / "nope.csv"
+    code = run_cli(["risk", "--input", source, "--out", tmp_path / "o"])
     assert code == InputError.exit_code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {source}: ")
+    assert err.count("\n") == 1, err
 
 
 def test_bad_parameter_range(t3_file, tmp_path):
@@ -431,6 +436,24 @@ ERROR_CASES = {
         ["risk", "--config", "{config}"], None,
         InputError.exit_code, "error: {config}:2: expected key=value",
     ),
+    "synth-negative-rng-seed": (
+        ["synth", "--rng-seed", "-1"], "synth:n_nodes=8",
+        ParameterError.exit_code, "error: rng seed must be nonnegative, got -1",
+    ),
+    # Checked before any ensemble, so no message names an eta never given.
+    "iso-nan-increase": (
+        ["iso", "--eta-increases", "0,nan"], None,
+        ParameterError.exit_code, "error: eta increases must be nonnegative",
+    ),
+    "iso-infinite-increase": (
+        ["iso", "--eta-increases", "0,inf"], None,
+        ParameterError.exit_code, "error: eta increases must be finite",
+    ),
+    # Every command checks every rate, though risk writes no ROI.
+    "risk-rate-nan": (
+        ["risk", "--roi-int", "nan"], None,
+        ParameterError.exit_code, "error: roi_int must be finite",
+    ),
 }
 
 
@@ -548,7 +571,7 @@ def test_roi_zero_balance_fails_before_ensemble(command, tmp_path, capsys, monke
     assert capsys.readouterr().err == "error: node 'c' has zero balance; ROI undefined\n"
 
 
-# risk writes no ROI, so rates whose ROI overflows (the roi, sweep-eta and
+# risk writes no ROI, so finite rates whose ROI overflows (the roi, sweep-eta and
 # sweep-alpha rows of ERROR_CASES) leave it at exit 0 with the same bytes.
 @pytest.mark.parametrize("rate", ["1e308", "1e306"])
 def test_risk_ignores_roi_rates(rate, tmp_path, capsys):
@@ -560,18 +583,35 @@ def test_risk_ignores_roi_rates(rate, tmp_path, capsys):
     assert risk_csv[0] == risk_csv[1]
 
 
-@pytest.mark.parametrize("command", ["risk", "roi", "sweep-eta", "sweep-alpha"])
-def test_bad_p_exo_fails_before_loading(command, t3_file, tmp_path, capsys, monkeypatch):
+# Every command checks every scalar flag, also one it does not use, before
+# it makes the output directory or reads any input.
+def _fails_before_loading(command, flag, value, t3_file, tmp_path, monkeypatch):
     def nothing_runs(*args, **kwargs):
         raise AssertionError("the input was loaded or the seed ensemble ran")
 
     monkeypatch.setattr(cli, "load_network", nothing_runs)
     monkeypatch.setattr(experiments, "run_ensemble", nothing_runs)
-    code = run_cli([command, "--input", t3_file, "--p-exo", "nan", "--out", tmp_path / "o"])
+    source = "synth:" if command == "synth" else t3_file
+    out = tmp_path / "o"
+    code = run_cli([command, "--input", source, flag, value, "--out", out])
+    assert not out.exists()
+    return code
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_bad_p_exo_fails_before_loading(command, t3_file, tmp_path, capsys, monkeypatch):
+    code = _fails_before_loading(command, "--p-exo", "nan", t3_file, tmp_path, monkeypatch)
     assert code == ParameterError.exit_code
     assert capsys.readouterr().err == (
         "error: exogenous probability must be finite and positive, got nan\n"
     )
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_bad_alpha_fails_before_loading(command, t3_file, tmp_path, capsys, monkeypatch):
+    code = _fails_before_loading(command, "--alpha", "2", t3_file, tmp_path, monkeypatch)
+    assert code == ParameterError.exit_code
+    assert capsys.readouterr().err == "error: alpha must be in [0, 1], got 2.0\n"
 
 
 # A failing command's last stderr line is its one error line; warnings

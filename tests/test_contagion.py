@@ -20,7 +20,7 @@ from ibrisk import (
 )
 from ibrisk import contagion
 
-from loan_dicts import loans_of, network
+from loan_dicts import loans_of, network, small_networks
 from oracle import naive_cascade, naive_payouts
 from reference import naive_trace
 
@@ -145,15 +145,6 @@ def test_matches_naive_oracle(alpha):
             assert engine.final_distress[0].tolist() == h
             assert _defaults(engine) == defaulted
             assert engine.steps[0] == steps
-
-
-@st.composite
-def small_networks(draw, max_nodes=5, amounts=st.floats(0.5, 10.0)):
-    n = draw(st.integers(2, max_nodes))
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
-    loans = {pair: draw(amounts) for pair in sorted(chosen)}
-    return network(tuple(str(k) for k in range(n)), loans)
 
 
 # A tiny eta can overflow loss / reserve to an infinite weight, which

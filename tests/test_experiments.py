@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ibrisk import (
     CalibrationParams,
@@ -18,7 +22,10 @@ from ibrisk import (
 )
 from ibrisk.experiments import DEFAULT_ALPHA_GRID, DEFAULT_ETA_GRID
 
-from loan_dicts import loans_of
+from loan_dicts import loans_of, network, small_networks
+from reference import naive_point
+
+T3 = network(("1", "2", "3"), {(1, 0): 8.0, (2, 1): 6.0})
 
 
 def test_sweep_alpha_t3(t3):
@@ -65,6 +72,33 @@ def test_roi_overflow_fails_before_ensemble(t3, monkeypatch):
     cal = calibrate(t3, CalibrationParams(10.0, 0.05, 0.0))
     with pytest.raises(ParameterError, match="^node '2': ROI overflows float64$"):
         evaluate_point(cal, RoiRates(roi_int=1e308))
+
+
+# evaluate_point keeps the bits of plain loops over the naive oracle. In
+# t3, node '3' is a seed without lenders and, at alpha 1, node '2' a fully
+# funded one; one example adds an isolated node, one has eta 0.
+@settings(max_examples=100, deadline=None)
+@given(
+    net=small_networks(max_nodes=8),
+    eta=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    rates=st.none() | st.just(RoiRates(roi_f=0.03))
+    | st.builds(RoiRates, *[st.floats(-1.0, 1.0)] * 4),
+    p_exo=st.floats(1e-6, 0.125),  # (1 + delta) * p_exo <= 1 for N <= 8
+)
+@example(net=network(("1", "2", "3", "zz"), {(1, 0): 8.0, (2, 1): 6.0}), eta=0.05,
+         alpha=0.5, rates=None, p_exo=0.001)
+@example(net=T3, eta=0.05, alpha=1.0, rates=RoiRates(), p_exo=0.001)
+@example(net=T3, eta=0.0, alpha=0.0, rates=RoiRates(), p_exo=0.001)
+def test_evaluate_point_matches_naive_point_property(net, eta, alpha, rates, p_exo):
+    cal = calibrate(net, CalibrationParams(10.0, eta, alpha))
+    if rates is not None and not cal.balance.all():  # ROI undefined at an isolated node
+        with pytest.raises(ParameterError, match="zero balance; ROI undefined$"):
+            evaluate_point(cal, rates, p_exo)
+        return
+    point = evaluate_point(cal, rates, p_exo)
+    for name, value in naive_point(loans_of(net), cal, rates, p_exo).items():
+        assert np.asarray(getattr(point, name)).tobytes() == np.asarray(value).tobytes(), name
 
 
 def test_zero_balance_roi_is_nan_without_rates():
@@ -130,6 +164,18 @@ def test_iso_saturated_when_full_fund_misses_target(t3):
     # A 1000% reserve raise clears every cascade; a full fund leaves p^C at 0.5.
     points = iso_curve(t3, 0.01, (0.0, 1.0, 10.0))
     assert points[2] == IsoPoint(10.0, 1.0, 1.0, 0.0, 0.5, True)
+
+
+# A NaN or infinite increase fails before the base ensemble, so the error
+# names the increases, not an eta the caller never gave.
+@pytest.mark.parametrize("bad, message", [(math.nan, "nonnegative"), (math.inf, "finite")])
+def test_iso_rejects_nan_and_infinite_increases_before_ensemble(t3, monkeypatch, bad, message):
+    def no_ensemble(cal):
+        raise AssertionError("the seed ensemble ran")
+
+    monkeypatch.setattr(experiments, "run_ensemble", no_ensemble)
+    with pytest.raises(ParameterError, match=f"^eta increases must be {message}$"):
+        iso_curve(t3, 0.05, (0.0, bad))
 
 
 def test_iso_alpha_nondecreasing_on_synthetic():

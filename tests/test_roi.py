@@ -119,4 +119,4 @@ def test_evaluate_point_roi_aggregates(t3):
         rel=1e-15,
     )
     assert np.all(point.roi_risk_adjusted <= point.roi_nominal)
-    assert np.all(cal.external_assets() >= 0)
+    assert np.all(cal.external >= 0)
