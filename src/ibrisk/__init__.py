@@ -38,6 +38,7 @@ from .network import (
     FinancialNetwork,
     NodeStrengths,
     Trades,
+    aggregate_file,
     aggregate_window,
     ingest_file,
     ingest_transactions,

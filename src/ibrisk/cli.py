@@ -2,8 +2,8 @@
 
 Commands: ingest, cascade, risk, roi, sweep-eta, sweep-alpha, iso,
 synth. Parameters come from flags or a key=value config file (flags
-win), and each scalar one is range-checked for every command, used or
-not, before any input is read. Every run writes a ``run.cfg`` echo of
+win), and each one that has a range is checked for every command, used
+or not, before any input is read. Every run writes a ``run.cfg`` echo of
 the effective parameters into the output directory, and all numeric CSV
 output uses round-trip decimal formatting so identical configs produce identical bytes.
 
@@ -161,7 +161,7 @@ def load_network(config: dict, default: str | None = None) -> FinancialNetwork:
     path = Path(source)
     if network.is_snapshot_file(path):
         return network.read_snapshot(path)
-    return network.aggregate_window(network.ingest_file(path, start, end))
+    return network.aggregate_file(path, start, end)
 
 
 def _field_names(cls) -> list[str]:
@@ -177,6 +177,13 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _rates(config: dict) -> roi.RoiRates:
     return roi.RoiRates(*(config[name] for name in _field_names(roi.RoiRates)))
+
+
+def _eta_increases(config: dict) -> tuple[float, ...]:
+    text = config["eta_increases"]
+    if not text:
+        return experiments.DEFAULT_ETA_INCREASE_GRID
+    return tuple(_parse_number(float, x, "eta increase") for x in text.split(","))
 
 
 def _params(config: dict) -> CalibrationParams:
@@ -239,12 +246,7 @@ def _cmd_sweep(config: dict, net: FinancialNetwork, out_dir: Path, varying: str)
 
 
 def cmd_iso(config: dict, net: FinancialNetwork, out_dir: Path) -> str:
-    grid = experiments.DEFAULT_ETA_INCREASE_GRID
-    if config["eta_increases"]:
-        grid = tuple(
-            _parse_number(float, x, "eta increase") for x in config["eta_increases"].split(",")
-        )
-    points = experiments.iso_curve(net, config["eta"], grid, config["beta"])
+    points = experiments.iso_curve(net, config["eta"], _eta_increases(config), config["beta"])
     rows = (dataclasses.astuple(p)[:-1] for p in points)  # all fields but saturated
     _write_csv(out_dir / "iso.csv", _field_names(experiments.IsoPoint)[:-1], rows)
     return f"iso points={len(points)} saturated={sum(p.saturated for p in points)}"
@@ -270,9 +272,11 @@ COMMANDS = tuple(_HANDLERS)
 
 def execute_scenario(config: dict, command: str) -> str:
     """Run one command; returns the one-line summary. Raises on failure."""
-    check_p_exo(config["p_exo"])  # every scalar flag, for every command, before any input
+    check_p_exo(config["p_exo"])  # every flag, for every command, before any input
     _params(config)
     _rates(config)
+    experiments.check_eta_increases(_eta_increases(config))
+    experiments.SyntheticSpec(rng_seed=config["rng_seed"])  # a negative seed, whatever the input
     out_dir = Path(config["out"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

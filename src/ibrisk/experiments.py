@@ -129,6 +129,17 @@ class IsoPoint:
     saturated: bool
 
 
+def check_eta_increases(grid: tuple[float, ...]) -> None:
+    """Raise ParameterError unless the relative eta increases are finite,
+    nonnegative and strictly increasing."""
+    if any(not d >= 0 for d in grid):  # NaN too
+        raise ParameterError("eta increases must be nonnegative")
+    if any(d == np.inf for d in grid):
+        raise ParameterError("eta increases must be finite")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ParameterError("eta increase grid must be strictly increasing")
+
+
 def iso_curve(
     net: FinancialNetwork,
     eta0: float,
@@ -144,12 +155,7 @@ def iso_curve(
     brackets, not exact roots, are the honest answer. Targets
     unreachable even at alpha = 1 are reported as saturated.
     """
-    if any(not d >= 0 for d in eta_increase_grid):  # NaN too
-        raise ParameterError("eta increases must be nonnegative")
-    if any(d == np.inf for d in eta_increase_grid):
-        raise ParameterError("eta increases must be finite")
-    if any(b <= a for a, b in zip(eta_increase_grid, eta_increase_grid[1:])):
-        raise ParameterError("eta increase grid must be strictly increasing")
+    check_eta_increases(eta_increase_grid)
 
     @cache
     def pc_at(eta: float, alpha: float) -> float:

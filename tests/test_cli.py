@@ -188,6 +188,7 @@ def test_snapshot_reload_pipeline(t3_file, tmp_path, capsys):
 
 
 NODES_ABC = "# node a\n# node b\n# node c\n"
+T3_SNAPSHOT = "# nodes=3 edges=2\n# node 1\n# node 2\n# node 3\n2,1,8.0\n3,2,6.0\n"
 CYCLE_1E308 = "a,b,1e308\nb,c,1e308\nc,a,1e308\n"
 ISOLATED_ZZ = "# nodes=4 edges=2\n" + NODES_ABC + "# node zz\na,b,5.0\nb,c,2.0\n"
 
@@ -454,6 +455,36 @@ ERROR_CASES = {
         ["risk", "--roi-int", "nan"], None,
         ParameterError.exit_code, "error: roi_int must be finite",
     ),
+    # Every command checks --eta-increases and --rng-seed, though only iso
+    # and a synth: input use them.
+    "ingest-eta-increase-text": (
+        ["ingest", "--eta-increases", "abc"], None,
+        ParameterError.exit_code, "error: bad eta increase 'abc'",
+    ),
+    "ingest-snapshot-eta-increase-nan": (
+        ["ingest", "--rng-seed", "-1", "--eta-increases", "nan"], T3_SNAPSHOT,
+        ParameterError.exit_code, "error: eta increases must be nonnegative",
+    ),
+    "risk-eta-increase-inf": (
+        ["risk", "--eta-increases", "0,inf"], None,
+        ParameterError.exit_code, "error: eta increases must be finite",
+    ),
+    "synth-eta-increase-negative": (
+        ["synth", "--eta-increases=-0.1"], "synth:n_nodes=8",
+        ParameterError.exit_code, "error: eta increases must be nonnegative",
+    ),
+    "cascade-eta-increases-decreasing": (
+        ["cascade", "--eta-increases", "0.1,0.05"], None,
+        ParameterError.exit_code, "error: eta increase grid must be strictly increasing",
+    ),
+    "ingest-negative-rng-seed": (
+        ["ingest", "--rng-seed", "-1"], None,
+        ParameterError.exit_code, "error: rng seed must be nonnegative, got -1",
+    ),
+    "iso-snapshot-negative-rng-seed": (
+        ["iso", "--rng-seed", "-2"], T3_SNAPSHOT,
+        ParameterError.exit_code, "error: rng seed must be nonnegative, got -2",
+    ),
 }
 
 
@@ -515,8 +546,6 @@ def test_config_comment_line_skipped(t3_file, tmp_path, capsys):
     assert capsys.readouterr().err == ""
     assert "eta=0.01\n" in (out / "run.cfg").read_text()
 
-
-T3_SNAPSHOT = "# nodes=3 edges=2\n# node 1\n# node 2\n# node 3\n2,1,8.0\n3,2,6.0\n"
 
 
 # At eta 0.01, raising the reserve by 1000% clears every cascade of t3,
@@ -605,6 +634,27 @@ def test_bad_p_exo_fails_before_loading(command, t3_file, tmp_path, capsys, monk
     assert capsys.readouterr().err == (
         "error: exogenous probability must be finite and positive, got nan\n"
     )
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eta-increases", "abc", "bad eta increase 'abc'"),
+    ("--eta-increases", "0,nan", "eta increases must be nonnegative"),
+    ("--rng-seed", "-1", "rng seed must be nonnegative, got -1"),
+])
+def test_bad_flag_fails_before_loading(command, flag, value, message, t3_file, tmp_path, capsys,
+                                       monkeypatch):
+    code = _fails_before_loading(command, flag, value, t3_file, tmp_path, monkeypatch)
+    assert code == ParameterError.exit_code
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_bad_eta_increase_is_named_before_a_missing_input(tmp_path, capsys):
+    out = tmp_path / "o"
+    args = ["iso", "--input", tmp_path / "missing.csv", "--eta-increases", "abc", "--out", out]
+    assert run_cli(args) == ParameterError.exit_code
+    assert capsys.readouterr().err == "error: bad eta increase 'abc'\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)

@@ -17,7 +17,7 @@ from ibrisk import (
     validate_network,
     write_snapshot,
 )
-from ibrisk import network
+from ibrisk import cli, network
 from ibrisk.experiments import SyntheticSpec, generate_synthetic
 
 from loan_dicts import loans_of, network as network_of
@@ -76,6 +76,17 @@ def test_aggregate_sums_duplicate_pairs():
     trades = ingest_transactions(["B1,B2,3.0,2000-04-03", "B1,B2,5.0,2000-04-03"])
     net = aggregate_window(trades)
     assert loans_of(net) == {(0, 1): 8.0}
+
+
+# Trades documents int64 codes, but a table built by hand may hold narrower
+# ones: they must not wrap when shifted into a pair key.
+def test_aggregate_window_of_int32_codes():
+    trades = ingest_transactions(["a,b,1.0,2000-04-03", "b,c,2.0,2000-04-03", "a,c,3.0,2000-04-03"])
+    narrow = network.Trades(trades.names, *(column.astype(np.int32)
+                                            for column in (trades.lender, trades.borrower)),
+                            trades.amount, trades.day)
+    assert aggregate_window(narrow) == aggregate_window(trades)
+    assert loans_of(aggregate_window(narrow)) == {(0, 1): 1.0, (1, 2): 2.0, (0, 2): 3.0}
 
 
 def test_aggregate_window_filters_dates():
@@ -687,15 +698,16 @@ def test_irregular_snapshot_reads_other_chunks_as_columns(tmp_path, monkeypatch)
     assert len(calls) == 1
 
 
-# Ingest with a date window keeps only the window's trades: each block's
-# other rows are dropped as it goes, and aggregation adds temporaries the
-# size of the window's rows. Reading 40k trades (in 4k-character blocks,
-# so that a block's per-field strings stay small) with a window that
-# keeps half of them, and summing those, peaks at 0.94x the whole
-# table's columns under tracemalloc. Building the whole table and
-# filtering it reads 1.47x; keeping every column's pieces until all are
-# joined, or building interleaved or full-size unique temporaries on top,
-# reads 2.47x.
+# The library path builds the table of the window's trades: each block's
+# other rows are dropped as it goes, and aggregate_window sums the table a
+# fold at a time, with about four arrays of a fold's length beside it.
+# Reading 40k trades (in 4k-character blocks, so that a block's per-field
+# strings stay small) with a window that keeps half of them, and summing
+# those, peaks at 1.10x the whole table's columns under tracemalloc
+# (aggregate_file, which builds no table, peaks at 0.99x). Building the
+# whole table and filtering it reads 1.47x; keeping every column's pieces
+# until all are joined, or building interleaved or full-size unique
+# temporaries on top, reads 2.47x.
 def test_ingest_and_aggregate_peak_memory(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     pair = rng.choice(200 * 199, 2000, replace=False)[rng.integers(2000, size=40_000)]
@@ -737,6 +749,80 @@ def traced_peak(call):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def cli_network(path, start=None, end=None):
+    """The network of the CLI's edge-list path, or its InputError message."""
+    config = {"input": str(path), "rng_seed": 0, "window_start": start and start.isoformat(),
+              "window_end": end and end.isoformat()}
+    return outcome(cli.load_network, config)
+
+
+# Trades over at most 8 nodes, so that pairs repeat across folds.
+PAIR_TRADES = st.lists(st.tuples(
+    st.permutations("ABCDEFGH").map(lambda ids: tuple(ids[:2])),
+    st.sampled_from(["0.1", "0.2", "0.3", "1", "2.5", "1e-3"]) | st.floats(0.01, 1e6).map(repr),
+    st.sampled_from(["2020-01-01", "2020-01-02", "2020-01-03", "2020-01-05"]),
+), max_size=30)
+
+
+# The CLI sums trades into pair totals a fold at a time, never building
+# the table, yet gives the bits of aggregating the table and of the
+# per-record loop: also with tiny blocks and folds, where one pair's
+# trades fall in many folds. A start after the end is an empty window.
+@settings(max_examples=100, deadline=None)
+@given(trades=PAIR_TRADES,
+       start=st.sampled_from([None, dt.date(2020, 1, 2), dt.date(2020, 1, 4)]),
+       end=st.sampled_from([None, dt.date(2020, 1, 1), dt.date(2020, 1, 3)]),
+       block=st.sampled_from([1, 16, 64]), fold=st.sampled_from([1, 2, 3, 7]))
+@example(  # A->B's first and last trades in different folds
+    trades=[(("A", "B"), "0.1", "2020-01-01"), (("C", "D"), "1", "2020-01-02"),
+            (("B", "C"), "2", "2020-01-03"), (("A", "B"), "0.2", "2020-01-05")],
+    start=None, end=None, block=16, fold=2,
+)
+@example(  # a sum that depends on the order of its trades, within and across folds
+    trades=[(("B", "A"), x, "2020-01-02") for x in ("0.1", "0.2", "0.3") * 2],
+    start=None, end=None, block=64, fold=3,
+)
+@example(  # D first appears outside the window, after C inside it
+    trades=[(("D", "A"), "1", "2020-01-01"), (("B", "C"), "0.3", "2020-01-02"),
+            (("A", "D"), "2.5", "2020-01-03"), (("B", "C"), "0.1", "2020-01-02")],
+    start=dt.date(2020, 1, 2), end=None, block=1, fold=1,
+)
+def test_cli_edge_list_path_matches_table_and_per_record_loop(tmp_path_factory, trades, start,
+                                                              end, block, fold):
+    lines = [f"{lender},{borrower},{amount},{date}\n" for (lender, borrower), amount, date in trades]
+    path = tmp_path_factory.getbasetemp() / "pair-trades.csv"
+    path.write_text("".join(lines))
+    expected = per_record_ingest(lines, start, end)[1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "READ_BLOCK", block)
+        patch.setattr(network, "FOLD_ROWS", fold)
+        got = cli_network(path, start, end)
+        table = outcome(lambda: aggregate_window(ingest_transactions(lines, start=start, end=end)))
+    assert got == table == (expected if isinstance(expected, str) else network_of(*expected))
+
+
+# The CLI's edge-list path holds a fold of kept trades and the pair
+# totals, never the trade table, so four times the trades over the same
+# pairs peaks no higher under tracemalloc.
+def test_cli_ingest_peak_does_not_grow_with_the_trades(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    pair = rng.choice(200 * 199, 2000, replace=False)
+    lender, borrower = np.divmod(pair, 199)
+    borrower += borrower >= lender
+    lines = [f"n{i},n{j},{k % 97 + 0.5!r},2023-01-{k % 28 + 1:02d}\n"
+             for k, (i, j) in enumerate(zip(lender.tolist() * 20, borrower.tolist() * 20))]
+    small, large = tmp_path / "small.csv", tmp_path / "large.csv"
+    small.write_text("".join(lines[:10_000]))
+    large.write_text("".join(lines))
+    monkeypatch.setattr(network, "READ_BLOCK", 4096)
+    monkeypatch.setattr(network, "FOLD_ROWS", 4096)
+    net, peak = traced_peak(lambda: cli_network(small))
+    assert net.n_edges == 2000
+    net, large_peak = traced_peak(lambda: cli_network(large))
+    assert net == aggregate_window(network.ingest_file(large))
+    assert large_peak < 1.2 * peak
 
 
 # write_snapshot formats and writes WRITE_PIECE loans at a time, so its
