@@ -2,10 +2,10 @@
 
 Commands: ingest, cascade, risk, roi, sweep-eta, sweep-alpha, iso,
 synth. Parameters come from flags or a key=value config file (flags
-win), and each one that has a range is checked for every command, used
-or not, before any input is read. Every run writes a ``run.cfg`` echo of
-the effective parameters into the output directory, and all numeric CSV
-output uses round-trip decimal formatting so identical configs produce identical bytes.
+win). Each command checks every flag, used or not, then loads the input,
+and only then makes the output directory: a bad flag or input leaves
+none. Every run writes a ``run.cfg`` echo of the effective parameters
+there; numeric CSV output uses round-trip decimals, so identical configs give identical bytes.
 
 Exit codes: 0 success, 2 bad arguments, 3 input error, 4 calibration
 infeasible, 5 internal error (an invariant violation or any other
@@ -147,10 +147,12 @@ def _synthetic(text: str, rng_seed: int) -> FinancialNetwork:
 
 
 def load_network(config: dict, default: str | None = None) -> FinancialNetwork:
-    """The network of ``--input``, or of ``default`` when there is none."""
+    """The network of ``--input``, which must start with ``default`` if given, or of ``default``."""
     source = config["input"] or default
     if not source:
         raise ParameterError("--input is required for this command")
+    if not source.startswith(default or ""):
+        raise ParameterError("synth expects --input synth:k=v,... (or no input)")
     start, end = (  # checked for every input, applied to edge lists alone
         _parse_number(dt.date.fromisoformat, config[key], key.replace("_", " ") + " date")
         if config[key] else None
@@ -198,8 +200,6 @@ def cmd_ingest(config: dict, net: FinancialNetwork, out_dir: Path) -> str:
 
 
 def cmd_cascade(config: dict, net: FinancialNetwork, out_dir: Path) -> str:
-    if config["seed_node"] is None:
-        raise ParameterError("--seed-node is required for cascade")
     seed = net.index_of(str(config["seed_node"]))
     ens = run_cascade(calibrate(net, _params(config)), seed)
     rows = ((step, node, h) for step, snapshot in enumerate(ens.trace)
@@ -272,20 +272,19 @@ COMMANDS = tuple(_HANDLERS)
 
 def execute_scenario(config: dict, command: str) -> str:
     """Run one command; returns the one-line summary. Raises on failure."""
-    check_p_exo(config["p_exo"])  # every flag, for every command, before any input
+    check_p_exo(config["p_exo"])  # 1. every flag, for every command, used or not
     _params(config)
     _rates(config)
     experiments.check_eta_increases(_eta_increases(config))
     experiments.SyntheticSpec(rng_seed=config["rng_seed"])  # a negative seed, whatever the input
-    out_dir = Path(config["out"])
+    if command == "cascade" and config["seed_node"] is None:
+        raise ParameterError("--seed-node is required for cascade")
+    net = load_network(config, "synth:" if command == "synth" else None)  # 2. the input
+    out_dir = Path(config["out"])  # 3. the output, once the input has loaded
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot create output directory {out_dir}: {exc}") from exc
-    default = "synth:" if command == "synth" else None
-    if default and not (config["input"] or default).startswith(default):
-        raise ParameterError("synth expects --input synth:k=v,... (or no input)")
-    net = load_network(config, default)
     try:
         summary = _HANDLERS[command](config, net, out_dir)
         with open(out_dir / "run.cfg", "w", encoding="utf-8") as handle:

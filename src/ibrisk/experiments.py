@@ -150,12 +150,14 @@ def iso_curve(
 
     For each relative increase d: the target is the cascade risk at
     (eta0 * (1 + d), alpha=0); the returned bracket [alpha_lo, alpha_hi]
-    encloses the smallest alpha whose cascade risk at eta0 reaches the
-    target. Cascade risk is a step function of alpha at finite N, so
-    brackets, not exact roots, are the honest answer. Targets
-    unreachable even at alpha = 1 are reported as saturated.
+    encloses the smallest alpha whose cascade risk at eta0 reaches it
+    (a step function of alpha at finite N: a bracket, not a root). Targets
+    unreachable even at alpha = 1 are saturated. The base point, then each
+    target, is calibrated before any ensemble, so their errors come first.
     """
     check_eta_increases(eta_increase_grid)
+    for rel in (0.0, *eta_increase_grid):
+        calibrate(net, CalibrationParams(beta, eta0 * (1.0 + rel), 0.0))
 
     @cache
     def pc_at(eta: float, alpha: float) -> float:
@@ -172,20 +174,19 @@ def iso_curve(
     for rel in eta_increase_grid:
         target = pc_at(eta0 * (1.0 + rel), 0.0)
         if base_pc <= target:
-            points.append(IsoPoint(rel, 0.0, 0.0, target, base_pc, False))
-            continue
-        full_fund = pc_at(eta0, 1.0)
-        if full_fund > target:
-            points.append(IsoPoint(rel, 1.0, 1.0, target, full_fund, True))
-            continue
-        lo, hi = 0.0, 1.0  # pc(lo) > target >= pc(hi); pc nonincreasing
-        while hi - lo > ISO_ALPHA_TOL:
-            mid = 0.5 * (lo + hi)
-            if pc_at(eta0, mid) <= target:
-                hi = mid
-            else:
-                lo = mid
-        points.append(IsoPoint(rel, lo, hi, target, pc_at(eta0, hi), False))
+            point = IsoPoint(rel, 0.0, 0.0, target, base_pc, False)
+        elif pc_at(eta0, 1.0) > target:  # even a full fund misses the target
+            point = IsoPoint(rel, 1.0, 1.0, target, pc_at(eta0, 1.0), True)
+        else:
+            lo, hi = 0.0, 1.0  # pc(lo) > target >= pc(hi); pc nonincreasing
+            while hi - lo > ISO_ALPHA_TOL:
+                mid = 0.5 * (lo + hi)
+                if pc_at(eta0, mid) <= target:
+                    hi = mid
+                else:
+                    lo = mid
+            point = IsoPoint(rel, lo, hi, target, pc_at(eta0, hi), False)
+        points.append(point)
     return points
 
 

@@ -1,7 +1,12 @@
 """Naive references beside ``oracle.py``, in its style: plain lists and
-loops, independent of the engine."""
+loops, independent of the engine but for its calibration."""
+from dataclasses import replace
+from functools import cache
+
 import numpy as np
 
+from ibrisk import CalibrationParams, calibrate
+from loan_dicts import loans_of
 from oracle import naive_cascade, naive_payouts
 
 
@@ -92,3 +97,53 @@ def naive_point(loans, cal, rates, p_exo):
         "market_roi_weighted": weighted,
         "market_roi_unweighted": unweighted,
     }
+
+
+def naive_sweep(net, params, varying, grid, rates, p_exo):
+    """``sweep``'s rows as tuples: ``naive_point`` at ``params`` with its
+    ``varying`` field set to each grid value, in grid order."""
+    loans = loans_of(net)
+    rows = []
+    for value in grid:
+        cal = calibrate(net, replace(params, **{varying: value}))
+        point = naive_point(loans, cal, rates, p_exo)
+        rows.append((varying, value, point["cascade_risk_system"], point["avg_debtrank"],
+                     point["market_roi_weighted"], point["market_roi_unweighted"]))
+    return rows
+
+
+def naive_iso(net, eta0, grid, beta):
+    """``iso_curve``'s points as tuples, or None when the base cascade risk
+    is zero (``iso_curve`` raises then).
+
+    Cascade risk at (eta, alpha) is ``naive_point``'s. The bisection is
+    ``iso_curve``'s, with its tolerance written out as 1e-4, so that a
+    change to the engine's stopping rule shows.
+    """
+    loans = loans_of(net)
+
+    @cache
+    def pc(eta, alpha):
+        cal = calibrate(net, CalibrationParams(beta, eta, alpha))
+        return naive_point(loans, cal, None, 0.001)["cascade_risk_system"]
+
+    base = pc(eta0, 0.0)
+    if base <= 0.0:
+        return None
+    points = []
+    for d in grid:
+        target = pc(eta0 * (1.0 + d), 0.0)
+        if base <= target:
+            points.append((d, 0.0, 0.0, target, base, False))
+        elif pc(eta0, 1.0) > target:
+            points.append((d, 1.0, 1.0, target, pc(eta0, 1.0), True))
+        else:
+            lo, hi = 0.0, 1.0
+            while hi - lo > 1e-4:
+                mid = 0.5 * (lo + hi)
+                if pc(eta0, mid) <= target:
+                    hi = mid
+                else:
+                    lo = mid
+            points.append((d, lo, hi, target, pc(eta0, hi), False))
+    return points

@@ -155,6 +155,7 @@ def test_missing_input_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {source}: ")
     assert err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_parameter_range(t3_file, tmp_path):
@@ -485,6 +486,45 @@ ERROR_CASES = {
         ["iso", "--rng-seed", "-2"], T3_SNAPSHOT,
         ParameterError.exit_code, "error: rng seed must be nonnegative, got -2",
     ),
+    "bad-window-start-text": (
+        ["risk", "--window-start", "abc"], "synth:n_nodes=50",
+        ParameterError.exit_code, "error: bad window start date 'abc'",
+    ),
+    "bad-window-end": (
+        ["risk", "--window-end", "2020-13-01"], None,
+        ParameterError.exit_code, "error: bad window end date '2020-13-01'",
+    ),
+    "risk-synth-fragment-without-eq": (
+        ["risk"], "synth:n_nodes=50,foo",
+        ParameterError.exit_code, "error: bad synth spec fragment 'foo'",
+    ),
+    "risk-unknown-synth-key": (
+        ["risk"], "synth:n_nodes=50,bogus=1",
+        ParameterError.exit_code, "error: unknown synth spec key 'bogus'",
+    ),
+    "risk-synth-one-node": (
+        ["risk"], "synth:n_nodes=1", ParameterError.exit_code, "error: need at least 2 nodes",
+    ),
+    "synth-edge-list-input": (
+        ["synth"], None,
+        ParameterError.exit_code, "error: synth expects --input synth:k=v,... (or no input)",
+    ),
+    # Flags are checked before the input is loaded, the window dates with it.
+    "cascade-seed-node-before-window": (
+        ["cascade", "--window-start", "abc"], None,
+        ParameterError.exit_code, "error: --seed-node is required for cascade",
+    ),
+    # iso calibrates every target before its first ensemble; a raise that
+    # overflows a reserve or leaves negative external assets fails as a
+    # risk run at that eta does.
+    "iso-increase-overflows-reserve": (
+        ["iso", "--eta", 0.005, "--eta-increases", "0,1e308"], "synth:n_nodes=50",
+        InputError.exit_code, "error: node 'n000': reserve overflows float64",
+    ),
+    "iso-increase-infeasible": (
+        ["iso", "--eta", 0.05, "--eta-increases", "0,100"], None,
+        CalibrationError.exit_code, "error: node '2' has negative external assets (D=-332)",
+    ),
 }
 
 
@@ -519,6 +559,33 @@ def test_missing_input_flag(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --input is required for this command\n"
 
 
+# Every command checks its flags, then loads its input, and only then makes
+# the output directory: a fault in either leaves no directory. cascade's
+# --seed-node is a flag, so no input is read without it.
+@pytest.mark.parametrize("args, message", [
+    (["risk", "--input", "synth:n_nodes=50", "--window-start", "abc"],
+     "bad window start date 'abc'"),
+    (["risk", "--input", "synth:n_nodes=50", "--window-end", "2020-13-01"],
+     "bad window end date '2020-13-01'"),
+    (["risk", "--input", "synth:n_nodes=50,foo"], "bad synth spec fragment 'foo'"),
+    (["risk", "--input", "synth:n_nodes=50,bogus=1"], "unknown synth spec key 'bogus'"),
+    (["risk", "--input", "synth:n_nodes=1"], "need at least 2 nodes"),
+    (["synth", "--input", "foo.csv"], "synth expects --input synth:k=v,... (or no input)"),
+    (["risk"], "--input is required for this command"),
+    (["cascade", "--input", "synth:n_nodes=50"], "--seed-node is required for cascade"),
+])
+def test_fault_leaves_no_output_directory(args, message, tmp_path, capsys, monkeypatch):
+    def no_load(*args, **kwargs):
+        raise AssertionError("the input was loaded")
+
+    if args[0] == "cascade":
+        monkeypatch.setattr(cli, "load_network", no_load)
+    out = tmp_path / "o"
+    assert run_cli([*args, "--out", out]) == ParameterError.exit_code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # The errno text after these prefixes comes from the operating system.
 def test_output_path_is_a_file(t3_file, tmp_path, capsys):
     out = tmp_path / "taken"
@@ -527,6 +594,14 @@ def test_output_path_is_a_file(t3_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot create output directory {out}: ")
     assert err.count("\n") == 1, err
+
+
+# The input is loaded before the output directory is made, so its error wins.
+def test_input_error_comes_before_output_path_error(tmp_path, capsys):
+    out, source = tmp_path / "taken", tmp_path / "nope.csv"
+    out.write_text("")
+    assert run_cli(["risk", "--input", source, "--out", out]) == InputError.exit_code
+    assert capsys.readouterr().err.startswith(f"error: cannot read {source}: ")
 
 
 def test_input_path_is_a_directory(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ibrisk import (
+    CalibrationError,
     CalibrationParams,
     FinancialNetwork,
+    InputError,
     IsoPoint,
     ParameterError,
     RoiRates,
@@ -23,9 +26,10 @@ from ibrisk import (
 from ibrisk.experiments import DEFAULT_ALPHA_GRID, DEFAULT_ETA_GRID
 
 from loan_dicts import loans_of, network, small_networks
-from reference import naive_point
+from reference import naive_iso, naive_point, naive_sweep
 
 T3 = network(("1", "2", "3"), {(1, 0): 8.0, (2, 1): 6.0})
+T3_ISOLATED = network(("1", "2", "3", "zz"), {(1, 0): 8.0, (2, 1): 6.0})
 
 
 def test_sweep_alpha_t3(t3):
@@ -99,6 +103,74 @@ def test_evaluate_point_matches_naive_point_property(net, eta, alpha, rates, p_e
     point = evaluate_point(cal, rates, p_exo)
     for name, value in naive_point(loans_of(net), cal, rates, p_exo).items():
         assert np.asarray(getattr(point, name)).tobytes() == np.asarray(value).tobytes(), name
+
+
+def _bits(row):
+    """A sweep row or iso point with each float as its bytes."""
+    return tuple(np.float64(x).tobytes() if isinstance(x, float) else x for x in row)
+
+
+def _grids(top):
+    values = st.sampled_from([0.0, top]) | st.floats(0.0, top)
+    return st.lists(values, min_size=1, max_size=3, unique=True).map(sorted).map(tuple)
+
+
+# sweep keeps the bits of naive_point at each grid value. In t3, node '3'
+# is a seed without lenders and, at eta 0.05 and alpha 1, node '2' a fully
+# funded one; one example adds an isolated node, one sweeps eta from 0.
+@settings(max_examples=50, deadline=None)
+@given(
+    net=small_networks(max_nodes=8),
+    varying=st.sampled_from(["eta", "alpha"]),
+    eta_grid=_grids(0.5),
+    alpha_grid=_grids(1.0),
+    eta=st.floats(0.0, 0.5),
+    alpha=st.floats(0.0, 1.0),
+    rates=st.none() | st.builds(RoiRates, *[st.floats(-1.0, 1.0)] * 4),
+    p_exo=st.floats(1e-6, 0.125),  # (1 + delta) * p_exo <= 1 for N <= 8
+)
+@example(net=T3, varying="alpha", eta_grid=(0.0,), alpha_grid=(0.0, 0.5, 1.0), eta=0.05,
+         alpha=0.0, rates=RoiRates(), p_exo=0.001)
+@example(net=T3, varying="eta", eta_grid=(0.0, 0.05), alpha_grid=(0.0,), eta=0.0, alpha=1.0,
+         rates=RoiRates(), p_exo=0.001)
+@example(net=T3_ISOLATED, varying="alpha", eta_grid=(0.0,), alpha_grid=(0.0, 1.0), eta=0.05,
+         alpha=0.0, rates=None, p_exo=0.001)
+def test_sweep_matches_naive_sweep_property(net, varying, eta_grid, alpha_grid, eta, alpha,
+                                            rates, p_exo):
+    params = CalibrationParams(10.0, eta, alpha)
+    grid = eta_grid if varying == "eta" else alpha_grid
+    if rates is not None and not calibrate(net, params).balance.all():  # an isolated node
+        with pytest.raises(ParameterError, match="zero balance; ROI undefined$"):
+            sweep(net, params, varying, grid, rates, p_exo)
+        return
+    rows = sweep(net, params, varying, grid, rates, p_exo)
+    expected = naive_sweep(net, params, varying, grid, rates, p_exo)
+    assert [_bits(astuple(row)) for row in rows] == [_bits(row) for row in expected]
+
+
+# iso_curve keeps the bits of the same bisection over naive_point's
+# cascade risk; eta0 (1 + d) <= 0.88 stays feasible at beta 10. Examples:
+# an isolated node, a bisection (t3 at eta 0.05, a 150% raise), eta 0, and
+# a saturated point (t3 at eta 0.01, a 1000% raise). t3's node '3' is a
+# seed without lenders, and at eta 0.05 alpha 1 funds seed '2' fully.
+@settings(max_examples=100, deadline=None)
+@given(
+    net=small_networks(max_nodes=8),
+    eta0=st.sampled_from([0.0, 0.01, 0.05]) | st.floats(0.0, 0.08),
+    grid=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3, unique=True).map(sorted).map(tuple),
+)
+@example(net=T3_ISOLATED, eta0=0.05, grid=(0.0, 1.5))
+@example(net=T3, eta0=0.05, grid=(0.1, 1.5))
+@example(net=T3, eta0=0.0, grid=(0.0, 1.0))
+@example(net=T3, eta0=0.01, grid=(0.0, 1.0, 10.0))
+def test_iso_curve_matches_naive_iso_property(net, eta0, grid):
+    expected = naive_iso(net, eta0, grid, 10.0)
+    if expected is None:
+        with pytest.raises(ParameterError, match="is zero; nothing to trade off$"):
+            iso_curve(net, eta0, grid)
+        return
+    points = iso_curve(net, eta0, grid)
+    assert [_bits(astuple(point)) for point in points] == [_bits(point) for point in expected]
 
 
 def test_zero_balance_roi_is_nan_without_rates():
@@ -176,6 +248,24 @@ def test_iso_rejects_nan_and_infinite_increases_before_ensemble(t3, monkeypatch,
     monkeypatch.setattr(experiments, "run_ensemble", no_ensemble)
     with pytest.raises(ParameterError, match=f"^eta increases must be {message}$"):
         iso_curve(t3, 0.05, (0.0, bad))
+
+
+# Every target point is calibrated before the first ensemble, so a raise
+# that overflows a reserve or leaves negative external assets fails first,
+# with the error a run that reached that target's ensembles would give.
+@pytest.mark.parametrize("net, eta0, grid, error, message", [
+    (network(("a", "b"), {(0, 1): 100.0}), 0.005, (0.0, 1e308), InputError,
+     "^node 'a': reserve overflows float64$"),
+    (T3, 0.05, (0.0, 100.0), CalibrationError, "^node '1' has negative external assets"),
+])
+def test_iso_calibrates_every_target_before_ensemble(net, eta0, grid, error, message,
+                                                      monkeypatch):
+    def no_ensemble(cal):
+        raise AssertionError("the seed ensemble ran")
+
+    monkeypatch.setattr(experiments, "run_ensemble", no_ensemble)
+    with pytest.raises(error, match=message):
+        iso_curve(net, eta0, grid)
 
 
 def test_iso_alpha_nondecreasing_on_synthetic():
