@@ -281,6 +281,7 @@ def execute_scenario(config: dict, command: str) -> str:
         raise ParameterError("--seed-node is required for cascade")
     net = load_network(config, "synth:" if command == "synth" else None)  # 2. the input
     out_dir = Path(config["out"])  # 3. the output, once the input has loaded
+    fresh = not out_dir.exists()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -292,6 +293,9 @@ def execute_scenario(config: dict, command: str) -> str:
                               if config[key] is not None)
     except OSError as exc:
         raise InputError(f"cannot write {exc.filename}: {exc.strerror}") from exc
+    finally:  # a failed run leaves no empty directory of its own making
+        if fresh and not any(out_dir.iterdir()):
+            out_dir.rmdir()
     return summary
 
 

@@ -24,11 +24,16 @@ after its source's distress first turns positive. One kernel runs many
 cascades together as a breadth-first frontier sweep over (seed, node)
 pairs, expanding only the pairs that turned positive in the previous
 round. Seeds are swept in blocks of about BLOCK_CELLS (seed, node)
-cells; a round's fired edges are gathered CHUNK slots at a time and
-scattered in pieces of whole frontier pairs. Each target's increments
-are added in canonical (source, target) edge order, one at a time, so
-every cascade keeps the bits of a per-edge sequential transcription of
-the update.
+cells. A round pushes: it gathers its fired edges CHUNK slots at a time
+and scatters them in pieces of whole frontier pairs. A dense round pulls
+instead, as direction-optimizing BFS does: each target gathers its own
+cell and every source, an idle one at +0.0, and sums them down axis 0,
+one term at a time, as numpy does on any axis but the contiguous one,
+which a spare zero column keeps apart. Either way each target's
+increments are added in canonical (source, target) edge order, one at a
+time (w * 0.0 = +0.0 adds nothing), so every cascade keeps the bits of a
+per-edge sequential transcription of the update. A +inf weight keeps
+every round push, since inf * 0.0 is NaN.
 
 With no reserve (eta = 0) every weight is +inf, so a fired edge
 defaults its target: a row is 1.0 on its seed, the lenders round 1
@@ -54,6 +59,12 @@ DEFAULT_TOLERANCE = 1e-12  # slack below 1.0 still counted as default
 BLOCK_CELLS = 65536
 SCATTER_PIECE = 16384
 CHUNK = 4
+# A round of b rows pulls if b * S >= PULL_MIN, S the chunk tables' slots,
+# and PUSH_SLOT cells a fired slot exceed the b * (S + N) cells a pull
+# reads plus PULL_CALL a piece; a piece reads about BLOCK_CELLS cells.
+PUSH_SLOT = 2.5
+PULL_CALL = 3000
+PULL_MIN = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -105,12 +116,13 @@ def compute_rescue_payouts(cal: CalibratedNetwork, seed: int) -> np.ndarray:
     return payouts
 
 
-def _chunk_tables(weights: PropagationWeights, n: int) -> tuple[np.ndarray, ...]:
+def _chunk_tables(weights: PropagationWeights, n: int) -> tuple:
     """Per node its first chunk of CHUNK slots and its number of chunks,
     then (chunks x CHUNK) tables of target and weight: each source's
     edges in canonical order, its last chunk padded with slots
     (source, 0). A source's own cell is positive once it fires, so a
-    padded slot adds 0.0 * distress = 0.0 to a positive sum: no bit moves."""
+    padded slot adds 0.0 * distress = 0.0 to a positive sum: no bit moves.
+    Last, a list that keeps the one :func:`_pull_tables` of the ensemble."""
     degree = np.bincount(weights.src, minlength=n)
     count = -(-degree // CHUNK)
     first = np.cumsum(count) - count
@@ -118,26 +130,48 @@ def _chunk_tables(weights: PropagationWeights, n: int) -> tuple[np.ndarray, ...]
     target = np.repeat(np.arange(n), count * CHUNK)
     weight = np.zeros(target.size)
     target[slot], weight[slot] = weights.dst, weights.weight
-    return first, count, target.reshape(-1, CHUNK), weight.reshape(-1, CHUNK)
+    return first, count, target.reshape(-1, CHUNK), weight.reshape(-1, CHUNK), []
+
+
+def _pull_tables(tables: tuple, n: int) -> list:
+    """Per in-degree d, pieces of about N rows of (d+1 x targets) indices
+    into the pull array and (d+1 x targets x 1) weights: row 0 each
+    target's own cell at 1.0, then its sources in ascending order, offset
+    by N. Empty if a weight is +inf."""
+    src = np.repeat(np.arange(n), tables[1] * CHUNK)
+    dst, weight = tables[2].reshape(-1), tables[3].reshape(-1)
+    real = np.flatnonzero(dst != src)  # a padded slot targets its source; no loan is a self-loop
+    degree = np.bincount(dst[real], minlength=n)
+    edge = real[np.lexsort((dst[real], degree[dst[real]]))]  # (d, dst, src) order
+    src, dst, weight, d_of = src[edge] + n, dst[edge], weight[edge], degree[dst[edge]]
+    pieces, groups = [], np.unique(d_of, return_index=True, return_counts=True)
+    for d, lo, size in zip(*(group.tolist() for group in groups)):  # size = d * targets
+        index = np.concatenate([dst[None, lo:lo + size:d], src[lo:lo + size].reshape(-1, d).T])
+        scale = np.concatenate([np.ones((1, size // d)), weight[lo:lo + size].reshape(-1, d).T])
+        step = max(1, n // (d + 1))  # targets a piece, so about N rows
+        pieces += [(index[:, k:k + step], scale[:, k:k + step, None])
+                   for k in range(0, size // d, step)]
+    return pieces if np.isfinite(weight).all() else []
 
 
 @np.errstate(over="ignore")  # only a scatter sum can overflow: inf, capped to 1
-def _sweep_block(h: np.ndarray, seeds: np.ndarray, tables: tuple[np.ndarray, ...],
+def _sweep_block(h: np.ndarray, seeds: np.ndarray, tables: tuple,
                  trace: Optional[list]) -> np.ndarray:
     """Run the cascades of ``seeds`` from round 2 on in the rows of ``h``; return rounds.
 
     The frontier holds the (row, node) pairs whose distress turned
     positive in the previous round, as ascending flat ``row * N + node``
     indices: sorted by (seed, source), so np.add.at meets each target
-    cell's increments in source order. A round runs in pieces of whole
-    pairs, cut after the pair whose last slot closes a stretch of
+    cell's increments in source order. A push round runs in pieces of
+    whole pairs, cut after the pair whose last slot closes a stretch of
     SCATTER_PIECE fired slots. A piece gathers its pairs' chunks of
-    :func:`_chunk_tables` by np.take(axis=0), about 0.4 of the cost per
-    slot of a 1-D gather by edge id, and repeats its pairs' cells and
-    distress by their slot counts.
+    :func:`_chunk_tables` by np.take(axis=0) and repeats its pairs' cells
+    and distress by their slot counts. A pull round works on ``ext``, the
+    (2N x b+1) array of ``h.T`` over the frontier's distress, and writes
+    each piece's sums of :func:`_pull_tables` back to its targets' rows.
     """
     b, n = h.shape
-    first, count, target_of, weight_of = tables
+    first, count, target_of, weight_of, pull = tables
     flat = h.reshape(-1)  # a view: h is a C-contiguous block of rows
     spent, steps = np.zeros(flat.size, dtype=bool), np.ones(b, dtype=np.int64)
     spent[np.arange(b) * n + seeds] = True  # the seeds fired in round 1
@@ -153,17 +187,30 @@ def _sweep_block(h: np.ndarray, seeds: np.ndarray, tables: tuple[np.ndarray, ...
             raise InvariantError("cascade failed to terminate")
         steps[rows[counts > 0]] = rounds  # rows fire in a prefix of the rounds
         ends = np.cumsum(counts)
-        shift = first[nodes] - (ends - counts)  # chunk id minus position among fired chunks
-        del front, nodes  # free them: a dense block's frontier can span most of its cells
-        cut = np.flatnonzero(np.diff((ends * CHUNK - 1) // SCATTER_PIECE)) + 1
-        for lo, hi in zip([0, *cut.tolist()], [*cut.tolist(), len(counts)]):
-            fired = counts[lo:hi]
-            chunk = np.arange(ends[lo] - fired[0], ends[hi - 1]) + np.repeat(shift[lo:hi], fired)
-            slots = fired * CHUNK
-            target = np.take(target_of, chunk, axis=0).reshape(-1)
-            weight = np.take(weight_of, chunk, axis=0).reshape(-1)
-            weight *= np.repeat(source[lo:hi], slots)
-            np.add.at(flat, np.repeat(rows[lo:hi] * n, slots) + target, weight)
+        slots, cost = PUSH_SLOT * CHUNK * ends[-1], b * (target_of.size + n)
+        dense = b * target_of.size >= PULL_MIN and slots > cost
+        if dense and not pull:
+            pull.append(_pull_tables(tables, n))  # empty with a +inf weight
+        if dense and pull[0] and slots > cost + PULL_CALL * len(pull[0]):
+            ext = np.zeros((2 * n, b + 1))  # h.T, the frontier's distress, a spare zero column
+            ext[:n, :b], ext[n + nodes, rows] = h.T, source
+            for index, weight in pull[0]:
+                cells = np.take(ext, index, axis=0)
+                cells *= weight
+                ext[index[0]] = np.add.reduce(cells, axis=0)
+            h[...] = ext[:n, :b].T
+        else:
+            shift = first[nodes] - (ends - counts)  # chunk id minus position among fired chunks
+            del front, nodes  # free them: a dense block's frontier can span most of its cells
+            cut = np.flatnonzero(np.diff((ends * CHUNK - 1) // SCATTER_PIECE)) + 1
+            for lo, hi in zip([0, *cut.tolist()], [*cut.tolist(), len(counts)]):
+                fired = counts[lo:hi]
+                chunk = np.arange(ends[lo] - fired[0], ends[hi - 1]) + np.repeat(shift[lo:hi], fired)
+                slots = fired * CHUNK
+                target = np.take(target_of, chunk, axis=0).reshape(-1)
+                weight = np.take(weight_of, chunk, axis=0).reshape(-1)
+                weight *= np.repeat(source[lo:hi], slots)
+                np.add.at(flat, np.repeat(rows[lo:hi] * n, slots) + target, weight)
         # One cap per round equals a cap after every increment: the
         # increments are nonnegative, so a sum that passes 1 stays there.
         np.minimum(flat, 1.0, out=flat)

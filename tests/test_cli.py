@@ -586,6 +586,28 @@ def test_fault_leaves_no_output_directory(args, message, tmp_path, capsys, monke
     assert not out.exists()
 
 
+# A command that fails once its input has loaded removes the output
+# directory it made, while that is still empty; it never removes one that
+# was there before, even an empty one.
+@pytest.mark.parametrize("args, code, message", [
+    (["risk", "--beta", "1.01"], CalibrationError.exit_code,
+     "node 'n001' has negative external assets (D=-0.978413)"),
+    (["risk", "--p-exo", "2"], ParameterError.exit_code, "default probability exceeds 1"),
+    (["iso", "--eta", "0.005", "--eta-increases", "0,1e308"], InputError.exit_code,
+     "node 'n000': reserve overflows float64"),
+])
+@pytest.mark.parametrize("existing", [False, True], ids=["made", "existing"])
+def test_failed_run_removes_only_its_own_empty_directory(args, code, message, existing,
+                                                         tmp_path, capsys):
+    out = tmp_path / "o"
+    if existing:
+        out.mkdir()
+    assert run_cli([args[0], "--input", "synth:n_nodes=50", *args[1:], "--out", out]) == code
+    assert message in capsys.readouterr().err
+    assert out.exists() == existing
+    assert not existing or not any(out.iterdir())
+
+
 # The errno text after these prefixes comes from the operating system.
 def test_output_path_is_a_file(t3_file, tmp_path, capsys):
     out = tmp_path / "taken"

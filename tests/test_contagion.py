@@ -509,6 +509,106 @@ def test_tiny_eta_scatter_overflow_is_silent():
         assert ens.steps[seed] == steps
 
 
+def _force_pull(patch):
+    """Make every round of the edge kernel pull, unless a weight is +inf;
+    return the list of tables that _pull_tables builds."""
+    built, build = [], contagion._pull_tables
+    patch.setattr(contagion, "PULL_MIN", 0)
+    patch.setattr(contagion, "PUSH_SLOT", math.inf)
+    patch.setattr(contagion, "_pull_tables", lambda *args: built.append(build(*args)) or built[-1])
+    return built
+
+
+# Pull rounds fold each target's own cell and its sources in ascending
+# order down axis 0, which must keep the oracle's bits in every row, in
+# blocks of 1-3 rows, and in run_cascade's snapshots. The last example's
+# seed 0 ends with other bits if a pull adds sources in descending order.
+@settings(max_examples=150, deadline=None)
+@given(
+    net=small_networks(max_nodes=8),
+    eta=st.one_of(st.just(0.0), st.floats(0.0, 0.02)),
+    alpha=st.sampled_from([0.0, 0.5, 1.0]),
+    block=st.integers(1, 3),
+)
+@example(net=network(("1", "2", "3"), {(1, 0): 8.0, (2, 1): 6.0}), eta=0.02, alpha=0.0, block=1)
+@example(net=network(tuple("abcde"), {(i, j): i + 2.0 * j + 1 for i in range(5) for j in range(5)
+                                      if i != j}), eta=0.01, alpha=0.5, block=2)
+@example(net=network(tuple("01234"), {(0, 1): 6.0, (1, 0): 1.0, (1, 2): 9.0, (1, 3): 3.0, (2, 1): 2.0,
+                                      (2, 3): 9.0, (3, 1): 2.0, (4, 1): 9.0, (4, 3): 1.0}),
+         eta=0.02, alpha=0.0, block=1)
+def test_forced_pull_matches_oracle_property(net, eta, alpha, block):
+    cal = calibrate(net, CalibrationParams(beta=10.0, eta=eta, alpha=alpha))
+    with pytest.MonkeyPatch.context() as patch:
+        _force_pull(patch)
+        patch.setattr(contagion, "BLOCK_CELLS", block * net.n_nodes)
+        ens = run_ensemble(cal)
+        traces = [run_cascade(cal, seed).trace for seed in range(net.n_nodes)]
+    loans = loans_of(net)
+    for seed in range(net.n_nodes):
+        payouts = naive_payouts(loans, cal.fund_contribution.tolist(), seed)
+        h, defaulted, steps = naive_cascade(
+            net.n_nodes, loans, cal.reserve.tolist(), seed, payouts=payouts
+        )
+        assert ens.final_distress[seed].tobytes() == np.array(h).tobytes()
+        assert set(np.flatnonzero(ens.defaulted[seed]).tolist()) == defaulted
+        assert ens.steps[seed] == steps
+        expected = naive_trace(net.n_nodes, loans, cal.reserve.tolist(), seed, payouts)
+        assert np.concatenate(traces[seed]).tobytes() == np.array(expected).tobytes()
+
+
+# Node 8 lent 1 to the seed 0 and to each of its lenders 1-7, so in round
+# 2 of a one-row block it alone folds 9 terms: its own cell, the spent
+# seed's +0.0 and 7 increments. A (9 x 1 x 1) array would be summed
+# pairwise along its one contiguous axis, which changes the bits here;
+# the spare zero column keeps the sum sequential.
+def test_pull_of_a_wide_target_keeps_sequential_bits(monkeypatch):
+    loans = {**{(i, 0): float(i) for i in range(1, 8)}, **{(8, i): 1.0 for i in range(8)}}
+    net = network(tuple(str(k) for k in range(9)), loans)
+    cal = calibrate(net, CalibrationParams(beta=10.0, eta=0.5, alpha=0.0))
+    built = _force_pull(monkeypatch)
+    monkeypatch.setattr(contagion, "BLOCK_CELLS", net.n_nodes)
+    ens, one = run_ensemble(cal), run_cascade(cal, 0)
+    assert [index.shape for index, _ in built[0]][-1] == (9, 1)  # node 8 alone
+    h, _, steps = naive_cascade(net.n_nodes, loans, cal.reserve.tolist(), 0)
+    assert 0.0 < h[8] < 1.0 and steps == 2
+    assert one.final_distress.tobytes() == ens.final_distress[:1].tobytes() == np.array([h]).tobytes()
+    assert [x.tobytes() for x in one.trace] == [
+        np.array([x]).tobytes() for x in naive_trace(net.n_nodes, loans, cal.reserve.tolist(), 0)
+    ]
+
+
+# At eta 1e-310 weights overflow to +inf, and inf * 0.0 is NaN: the pull
+# of an idle source would poison its target, so every round stays push.
+def test_infinite_weight_keeps_push(monkeypatch):
+    net = generate_synthetic(SyntheticSpec(n_nodes=50))
+    cal = calibrate(net, CalibrationParams(10.0, 1e-310, 0.01))
+    assert np.isinf(contagion.propagation_weights(cal).weight).any()
+    built = _force_pull(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ens = run_ensemble(cal)
+    assert built == [[]]
+    loans = loans_of(net)
+    for seed in range(net.n_nodes):
+        payouts = naive_payouts(loans, cal.fund_contribution.tolist(), seed)
+        h, _, steps = naive_cascade(net.n_nodes, loans, cal.reserve.tolist(), seed, payouts=payouts)
+        assert ens.final_distress[seed].tobytes() == np.array(h).tobytes()
+        assert ens.steps[seed] == steps
+
+
+# With the default selection, pull tables are built at most once per
+# ensemble, on the first dense round: never at N=180, where b * S stays
+# below PULL_MIN, and once at N=1000, for the second rounds of the three
+# full 65-row blocks; the thin remainder block of 13 rows pushes.
+@pytest.mark.parametrize("n, builds", [(180, 0), (1000, 1)])
+def test_default_selection_builds_pull_tables_once(monkeypatch, n, builds):
+    calls, build = [], contagion._pull_tables
+    monkeypatch.setattr(contagion, "_pull_tables", lambda *args: calls.append(args) or build(*args))
+    net = generate_synthetic(SyntheticSpec(n_nodes=n))
+    run_ensemble(calibrate(net, CalibrationParams(10.0, 0.005, 0.01)))
+    assert len(calls) == builds
+
+
 # Integer amounts sum exactly in any order, so relabelling the nodes
 # can change no strength bit, and the integer delta must follow them.
 @settings(max_examples=100, deadline=None)
