@@ -281,7 +281,7 @@ def execute_scenario(config: dict, command: str) -> str:
         raise ParameterError("--seed-node is required for cascade")
     net = load_network(config, "synth:" if command == "synth" else None)  # 2. the input
     out_dir = Path(config["out"])  # 3. the output, once the input has loaded
-    fresh = not out_dir.exists()
+    fresh = [path for path in (out_dir, *out_dir.parents) if not path.exists()]  # deepest first
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -294,8 +294,8 @@ def execute_scenario(config: dict, command: str) -> str:
     except OSError as exc:
         raise InputError(f"cannot write {exc.filename}: {exc.strerror}") from exc
     finally:  # a failed run leaves no empty directory of its own making
-        if fresh and not any(out_dir.iterdir()):
-            out_dir.rmdir()
+        while fresh and not any(fresh[0].iterdir()):
+            fresh.pop(0).rmdir()
     return summary
 
 

@@ -43,6 +43,7 @@ edge: a breadth-first closure on packed bitsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -122,7 +123,7 @@ def _chunk_tables(weights: PropagationWeights, n: int) -> tuple:
     edges in canonical order, its last chunk padded with slots
     (source, 0). A source's own cell is positive once it fires, so a
     padded slot adds 0.0 * distress = 0.0 to a positive sum: no bit moves.
-    Last, a list that keeps the one :func:`_pull_tables` of the ensemble."""
+    Last, a once-only builder of :func:`_pull_tables` over the four tables."""
     degree = np.bincount(weights.src, minlength=n)
     count = -(-degree // CHUNK)
     first = np.cumsum(count) - count
@@ -130,14 +131,15 @@ def _chunk_tables(weights: PropagationWeights, n: int) -> tuple:
     target = np.repeat(np.arange(n), count * CHUNK)
     weight = np.zeros(target.size)
     target[slot], weight[slot] = weights.dst, weights.weight
-    return first, count, target.reshape(-1, CHUNK), weight.reshape(-1, CHUNK), []
+    tables = first, count, target.reshape(-1, CHUNK), weight.reshape(-1, CHUNK)
+    return *tables, cache(lambda: _pull_tables(tables, n))
 
 
 def _pull_tables(tables: tuple, n: int) -> list:
     """Per in-degree d, pieces of about N rows of (d+1 x targets) indices
     into the pull array and (d+1 x targets x 1) weights: row 0 each
     target's own cell at 1.0, then its sources in ascending order, offset
-    by N. Empty if a weight is +inf."""
+    by N. Empty if a weight is +inf. Built once, by the tables' builder."""
     src = np.repeat(np.arange(n), tables[1] * CHUNK)
     dst, weight = tables[2].reshape(-1), tables[3].reshape(-1)
     real = np.flatnonzero(dst != src)  # a padded slot targets its source; no loan is a self-loop
@@ -168,7 +170,7 @@ def _sweep_block(h: np.ndarray, seeds: np.ndarray, tables: tuple,
     :func:`_chunk_tables` by np.take(axis=0) and repeats its pairs' cells
     and distress by their slot counts. A pull round works on ``ext``, the
     (2N x b+1) array of ``h.T`` over the frontier's distress, and writes
-    each piece's sums of :func:`_pull_tables` back to its targets' rows.
+    each piece's sums of the tables' one :func:`_pull_tables` back to its targets' rows.
     """
     b, n = h.shape
     first, count, target_of, weight_of, pull = tables
@@ -189,12 +191,10 @@ def _sweep_block(h: np.ndarray, seeds: np.ndarray, tables: tuple,
         ends = np.cumsum(counts)
         slots, cost = PUSH_SLOT * CHUNK * ends[-1], b * (target_of.size + n)
         dense = b * target_of.size >= PULL_MIN and slots > cost
-        if dense and not pull:
-            pull.append(_pull_tables(tables, n))  # empty with a +inf weight
-        if dense and pull[0] and slots > cost + PULL_CALL * len(pull[0]):
+        if dense and (pieces := pull()) and slots > cost + PULL_CALL * len(pieces):  # none at +inf
             ext = np.zeros((2 * n, b + 1))  # h.T, the frontier's distress, a spare zero column
             ext[:n, :b], ext[n + nodes, rows] = h.T, source
-            for index, weight in pull[0]:
+            for index, weight in pieces:
                 cells = np.take(ext, index, axis=0)
                 cells *= weight
                 ext[index[0]] = np.add.reduce(cells, axis=0)

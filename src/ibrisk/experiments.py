@@ -152,17 +152,17 @@ def iso_curve(
     (eta0 * (1 + d), alpha=0); the returned bracket [alpha_lo, alpha_hi]
     encloses the smallest alpha whose cascade risk at eta0 reaches it
     (a step function of alpha at finite N: a bracket, not a root). Targets
-    unreachable even at alpha = 1 are saturated. The base point, then each
-    target, is calibrated before any ensemble, so their errors come first.
+    unreachable even at alpha = 1 are saturated. Each point is calibrated once:
+    the base point, then each target, before any ensemble, so their errors come first.
     """
     check_eta_increases(eta_increase_grid)
+    cal_at = cache(lambda eta, alpha: calibrate(net, CalibrationParams(beta, eta, alpha)))
     for rel in (0.0, *eta_increase_grid):
-        calibrate(net, CalibrationParams(beta, eta0 * (1.0 + rel), 0.0))
+        cal_at(eta0 * (1.0 + rel), 0.0)
 
     @cache
     def pc_at(eta: float, alpha: float) -> float:
-        ensemble = run_ensemble(calibrate(net, CalibrationParams(beta, eta, alpha)))
-        return cascade_risk(default_counts(ensemble), net.n_nodes)[1]
+        return cascade_risk(default_counts(run_ensemble(cal_at(eta, alpha))), net.n_nodes)[1]
 
     base_pc = pc_at(eta0, 0.0)
     if base_pc <= 0.0:

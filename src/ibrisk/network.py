@@ -58,8 +58,8 @@ class FinancialNetwork:
     ``lender[k]`` to node ``borrower[k]``. The constructor stores these as
     read-only int64, int64 and float64 arrays sorted by (lender, borrower)
     and raises InputError for columns of different lengths, indices that
-    are not integers in [0, N), self-loops, amounts that are not finite
-    and positive, and a repeated pair. Loans in that order are not sorted.
+    are not integers in [0, N), self-loops, then the first repeated pair
+    or amount not finite and positive in that order. Loans in it are not sorted.
     An array of the caller's that no sort or conversion replaced is copied
     unless it is read-only and owns its memory. Equality compares every bit.
     """
@@ -86,12 +86,6 @@ class FinancialNetwork:
         k = _first(lender == borrower)
         if k is not None:
             raise InputError(f"self-loop on node {self.nodes[lender[k]]!r} rejected")
-        k = _first(~(np.isfinite(amount) & (amount > 0)))
-        if k is not None:
-            raise InputError(
-                f"loan {self._pair(lender[k], borrower[k])}: amount must be finite "
-                f"and strictly positive, got {amount[k]}"
-            )
         key = lender * n + borrower
         if not (key[1:] > key[:-1]).all():  # else in order, and no pair repeats
             order = np.argsort(key)  # keys tie only on a repeated pair
@@ -100,6 +94,12 @@ class FinancialNetwork:
             k = _first((lender[1:] == lender[:-1]) & (borrower[1:] == borrower[:-1]))
             if k is not None:
                 raise InputError(f"duplicate loan {self._pair(lender[k], borrower[k])}")
+        k = _first(~(np.isfinite(amount) & (amount > 0)))
+        if k is not None:
+            raise InputError(
+                f"loan {self._pair(lender[k], borrower[k])}: amount must be finite "
+                f"and strictly positive, got {amount[k]}"
+            )
         for name, array in (("lender", lender), ("borrower", borrower), ("amount", amount)):
             if array.base is not None or (array is getattr(self, name) and array.flags.writeable):
                 array = array.copy()  # the caller's, which it may still write to
@@ -238,9 +238,8 @@ class _PairTotals:
         codes = np.argsort(self.first)  # codes that no kept row names sort last
         position, n = np.argsort(codes), np.count_nonzero(self.first < _UNSEEN)
         lender, borrower = position[self.keys[:-1] >> 32], position[self.keys[:-1] & 0xFFFFFFFF]
-        order = np.argsort(lender * n + borrower)
         nodes = tuple(names[c] for c in codes[:n].tolist())
-        return FinancialNetwork(nodes, lender[order], borrower[order], self.totals[:-1][order])
+        return FinancialNetwork(nodes, lender, borrower, self.totals[:-1])  # it sorts the pairs
 
 
 def _plain_chunk(text: str, count: int, lineno: int, index: _Index, note,

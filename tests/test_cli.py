@@ -587,8 +587,9 @@ def test_fault_leaves_no_output_directory(args, message, tmp_path, capsys, monke
 
 
 # A command that fails once its input has loaded removes the output
-# directory it made, while that is still empty; it never removes one that
-# was there before, even an empty one.
+# directory it made, while that is still empty, and so each missing parent
+# it made for it; it never removes one that was there before, even an
+# empty one. Nested, ``o`` is the parent of the ``--out`` o/a/b.
 @pytest.mark.parametrize("args, code, message", [
     (["risk", "--beta", "1.01"], CalibrationError.exit_code,
      "node 'n001' has negative external assets (D=-0.978413)"),
@@ -596,13 +597,16 @@ def test_fault_leaves_no_output_directory(args, message, tmp_path, capsys, monke
     (["iso", "--eta", "0.005", "--eta-increases", "0,1e308"], InputError.exit_code,
      "node 'n000': reserve overflows float64"),
 ])
-@pytest.mark.parametrize("existing", [False, True], ids=["made", "existing"])
-def test_failed_run_removes_only_its_own_empty_directory(args, code, message, existing,
+@pytest.mark.parametrize("nested, existing", [(False, False), (False, True), (True, False),
+                                              (True, True)],
+                         ids=["made", "existing", "nested-made", "nested-existing"])
+def test_failed_run_removes_only_its_own_empty_directory(args, code, message, nested, existing,
                                                          tmp_path, capsys):
     out = tmp_path / "o"
     if existing:
         out.mkdir()
-    assert run_cli([args[0], "--input", "synth:n_nodes=50", *args[1:], "--out", out]) == code
+    target = out / "a" / "b" if nested else out
+    assert run_cli([args[0], "--input", "synth:n_nodes=50", *args[1:], "--out", target]) == code
     assert message in capsys.readouterr().err
     assert out.exists() == existing
     assert not existing or not any(out.iterdir())

@@ -268,6 +268,29 @@ def test_iso_calibrates_every_target_before_ensemble(net, eta0, grid, error, mes
         iso_curve(net, eta0, grid)
 
 
+# The search calibrates each (eta, alpha) point it visits once, targets
+# included, and runs that calibration's one ensemble: one calibration per
+# ensemble, though the base point is also the target of a zero raise.
+def test_iso_calibrates_each_point_once(monkeypatch):
+    calibrated, ensembled = [], []
+
+    def spy_calibrate(net, params, calibrate=experiments.calibrate):
+        calibrated.append(params)
+        return calibrate(net, params)
+
+    def spy_ensemble(cal, run_ensemble=experiments.run_ensemble):
+        ensembled.append(cal.params)
+        return run_ensemble(cal)
+
+    monkeypatch.setattr(experiments, "calibrate", spy_calibrate)
+    monkeypatch.setattr(experiments, "run_ensemble", spy_ensemble)
+    net = generate_synthetic(SyntheticSpec(n_nodes=60, rng_seed=2))
+    points = iso_curve(net, eta0=0.005, eta_increase_grid=(0.0, 0.5, 1.0, 2.0))
+    assert len(points) == 4
+    assert len(calibrated) == len(ensembled) == len(set(ensembled))
+    assert set(calibrated) == set(ensembled)
+
+
 def test_iso_alpha_nondecreasing_on_synthetic():
     net = generate_synthetic(SyntheticSpec(n_nodes=60, rng_seed=2))
     points = iso_curve(net, eta0=0.005, eta_increase_grid=(0.0, 0.5, 1.0, 2.0))

@@ -155,6 +155,10 @@ def test_validate_warns_on_isolated_node():
         pytest.param([0], [1], [-3.0], "strictly positive, got -3.0", id="negative"),
         pytest.param([0], [1], [math.nan], "strictly positive, got nan", id="nan"),
         pytest.param([0], [1], [math.inf], "strictly positive, got inf", id="inf"),
+        # Two bad amounts: the first in (lender, borrower) order is named, so
+        # an aggregated network's overflowing pair does not hang on parse order.
+        pytest.param([1, 0], [0, 1], [math.inf, math.nan], "'a'->'b': .* got nan",
+                     id="two-bad-amounts"),
         pytest.param([2, 0, 0], [1, 1, 1], [1.0, 2.0, 3.0], "duplicate loan 'a'->'b'", id="duplicate"),
         # Two repeated pairs: the first in (lender, borrower) order is named.
         pytest.param([1, 1, 0, 0], [0, 0, 2, 2], [1.0, 2.0, 3.0, 4.0], "duplicate loan 'a'->'c'",
