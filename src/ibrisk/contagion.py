@@ -61,10 +61,8 @@ BLOCK_CELLS = 65536
 SCATTER_PIECE = 16384
 CHUNK = 4
 # A round of b rows pulls if b * S >= PULL_MIN, S the chunk tables' slots,
-# and PUSH_SLOT cells a fired slot exceed the b * (S + N) cells a pull
-# reads plus PULL_CALL a piece; a piece reads about BLOCK_CELLS cells.
+# and PUSH_SLOT cells a fired slot exceed the b * (S + N) cells a pull reads.
 PUSH_SLOT = 2.5
-PULL_CALL = 3000
 PULL_MIN = 1 << 20
 
 
@@ -122,8 +120,7 @@ def _chunk_tables(weights: PropagationWeights, n: int) -> tuple:
     then (chunks x CHUNK) tables of target and weight: each source's
     edges in canonical order, its last chunk padded with slots
     (source, 0). A source's own cell is positive once it fires, so a
-    padded slot adds 0.0 * distress = 0.0 to a positive sum: no bit moves.
-    Last, a once-only builder of :func:`_pull_tables` over the four tables."""
+    padded slot adds 0.0 * distress = 0.0 to a positive sum: no bit moves."""
     degree = np.bincount(weights.src, minlength=n)
     count = -(-degree // CHUNK)
     first = np.cumsum(count) - count
@@ -131,22 +128,20 @@ def _chunk_tables(weights: PropagationWeights, n: int) -> tuple:
     target = np.repeat(np.arange(n), count * CHUNK)
     weight = np.zeros(target.size)
     target[slot], weight[slot] = weights.dst, weights.weight
-    tables = first, count, target.reshape(-1, CHUNK), weight.reshape(-1, CHUNK)
-    return *tables, cache(lambda: _pull_tables(tables, n))
+    return first, count, target.reshape(-1, CHUNK), weight.reshape(-1, CHUNK)
 
 
-def _pull_tables(tables: tuple, n: int) -> list:
+def _pull_tables(cal: CalibratedNetwork) -> list:
     """Per in-degree d, pieces of about N rows of (d+1 x targets) indices
     into the pull array and (d+1 x targets x 1) weights: row 0 each
     target's own cell at 1.0, then its sources in ascending order, offset
-    by N. Empty if a weight is +inf. Built once, by the tables' builder."""
-    src = np.repeat(np.arange(n), tables[1] * CHUNK)
-    dst, weight = tables[2].reshape(-1), tables[3].reshape(-1)
-    real = np.flatnonzero(dst != src)  # a padded slot targets its source; no loan is a self-loop
-    degree = np.bincount(dst[real], minlength=n)
-    edge = real[np.lexsort((dst[real], degree[dst[real]]))]  # (d, dst, src) order
-    src, dst, weight, d_of = src[edge] + n, dst[edge], weight[edge], degree[dst[edge]]
-    pieces, groups = [], np.unique(d_of, return_index=True, return_counts=True)
+    by N. Empty if a weight is +inf. Read from the loans of ``cal.net``."""
+    net, n = cal.net, cal.net.n_nodes
+    degree = np.bincount(net.lender, minlength=n)  # a loan's lender is its edge's target
+    edge = np.argsort(degree[net.lender], kind="stable")  # loans come in (target, source) order
+    dst, src = net.lender[edge], net.borrower[edge] + n
+    weight = edge_weights(net.amount[edge], cal.reserve[dst])  # propagation_weights' bits
+    pieces, groups = [], np.unique(degree[dst], return_index=True, return_counts=True)
     for d, lo, size in zip(*(group.tolist() for group in groups)):  # size = d * targets
         index = np.concatenate([dst[None, lo:lo + size:d], src[lo:lo + size].reshape(-1, d).T])
         scale = np.concatenate([np.ones((1, size // d)), weight[lo:lo + size].reshape(-1, d).T])
@@ -170,7 +165,7 @@ def _sweep_block(h: np.ndarray, seeds: np.ndarray, tables: tuple,
     :func:`_chunk_tables` by np.take(axis=0) and repeats its pairs' cells
     and distress by their slot counts. A pull round works on ``ext``, the
     (2N x b+1) array of ``h.T`` over the frontier's distress, and writes
-    each piece's sums of the tables' one :func:`_pull_tables` back to its targets' rows.
+    each piece's sums back to its targets' rows (``pull`` caches :func:`_pull_tables`).
     """
     b, n = h.shape
     first, count, target_of, weight_of, pull = tables
@@ -189,9 +184,8 @@ def _sweep_block(h: np.ndarray, seeds: np.ndarray, tables: tuple,
             raise InvariantError("cascade failed to terminate")
         steps[rows[counts > 0]] = rounds  # rows fire in a prefix of the rounds
         ends = np.cumsum(counts)
-        slots, cost = PUSH_SLOT * CHUNK * ends[-1], b * (target_of.size + n)
-        dense = b * target_of.size >= PULL_MIN and slots > cost
-        if dense and (pieces := pull()) and slots > cost + PULL_CALL * len(pieces):  # none at +inf
+        if (b * target_of.size >= PULL_MIN and PUSH_SLOT * CHUNK * ends[-1] > b * (target_of.size + n)
+                and (pieces := pull())):  # none at +inf
             ext = np.zeros((2 * n, b + 1))  # h.T, the frontier's distress, a spare zero column
             ext[:n, :b], ext[n + nodes, rows] = h.T, source
             for index, weight in pieces:
@@ -288,7 +282,8 @@ def _cascades(cal: CalibratedNetwork, seeds: np.ndarray,
     reach = not cal.reserve.any()  # see the module docstring
     kernel = _reach_block if reach else _sweep_block
     if live.size:  # the kernel's tables, only when a row goes on to it
-        tables = _lender_words(cal) if reach else _chunk_tables(propagation_weights(cal), n)
+        tables = _lender_words(cal) if reach else (  # the pull tables built once, if ever
+            *_chunk_tables(propagation_weights(cal), n), cache(lambda: _pull_tables(cal)))
     steps = np.ones(len(seeds), dtype=np.int64)
     for lo in range(0, len(live), rows):
         pick = live[lo:lo + rows]

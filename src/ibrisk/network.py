@@ -59,9 +59,10 @@ class FinancialNetwork:
     read-only int64, int64 and float64 arrays sorted by (lender, borrower)
     and raises InputError for columns of different lengths, indices that
     are not integers in [0, N), self-loops, then the first repeated pair
-    or amount not finite and positive in that order. Loans in it are not sorted.
-    An array of the caller's that no sort or conversion replaced is copied
-    unless it is read-only and owns its memory. Equality compares every bit.
+    or amount not finite and positive in that order. Loans already in
+    canonical order are not sorted. An array of the caller's that no sort
+    or conversion replaced is copied unless it is read-only and owns its
+    memory. Equality compares every bit.
     """
 
     nodes: tuple[str, ...]
@@ -139,9 +140,10 @@ class FinancialNetwork:
 
     def scaled(self, gamma: float) -> "FinancialNetwork":
         """Copy of the network with every loan multiplied by gamma > 0."""
-        if gamma <= 0:
+        if not gamma > 0:  # NaN as well
             raise InputError("scale factor must be positive")
-        return FinancialNetwork(self.nodes, self.lender, self.borrower, self.amount * gamma)
+        with np.errstate(over="ignore"):  # an inf amount fails in the constructor
+            return FinancialNetwork(self.nodes, self.lender, self.borrower, self.amount * gamma)
 
 
 @dataclass(frozen=True)
@@ -227,7 +229,8 @@ class _PairTotals:
         at += np.cumsum(fresh) - fresh  # each pair's slot once the fresh ones are in
         slot = np.empty_like(order)
         slot[order] = at[np.cumsum(new) - 1]
-        np.add.at(self.totals, slot, amount)
+        with np.errstate(over="ignore"):  # an inf total fails in the constructor
+            np.add.at(self.totals, slot, amount)
 
     def network(self, names: tuple[str, ...]) -> FinancialNetwork:
         """The network of the trades taken, whose codes index ``names``."""

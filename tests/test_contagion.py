@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -307,7 +308,8 @@ def _swept(cal, seeds, trace=None):
                 h[row, lender] = min(1.0, weight)
     if trace is not None:  # one seed: before round 1, and after it if it fired
         trace += [np.eye(1, n, seeds[0])] + [h.copy()] * (seeds[0] in cal.net.borrower)
-    tables = contagion._chunk_tables(contagion.propagation_weights(cal), n)
+    tables = (*contagion._chunk_tables(contagion.propagation_weights(cal), n),
+              functools.cache(lambda: contagion._pull_tables(cal)))
     rows = max(1, contagion.BLOCK_CELLS // n)
     steps = [contagion._sweep_block(h[lo:lo + rows], seeds[lo:lo + rows], tables, trace)
              for lo in range(0, len(seeds), rows)]
@@ -435,7 +437,8 @@ def test_no_live_row_builds_no_kernel_tables(monkeypatch):
     assert calls == ["propagation_weights", "_chunk_tables"]
     seeds = np.arange(net.n_nodes)
     h, _ = contagion._first_round(cal, seeds, contagion._fund_ratios(cal, seeds), None)
-    tables = contagion._chunk_tables(contagion.propagation_weights(cal), net.n_nodes)
+    tables = (*contagion._chunk_tables(contagion.propagation_weights(cal), net.n_nodes),
+              functools.cache(lambda: contagion._pull_tables(cal)))
     steps = contagion._sweep_block(h, seeds, tables, None)
     assert ens.final_distress.tobytes() == h.tobytes()
     assert ens.steps.tolist() == steps.tolist()
@@ -607,6 +610,40 @@ def test_default_selection_builds_pull_tables_once(monkeypatch, n, builds):
     net = generate_synthetic(SyntheticSpec(n_nodes=n))
     run_ensemble(calibrate(net, CalibrationParams(10.0, 0.005, 0.01)))
     assert len(calls) == builds
+
+
+def _check_pull_tables(cal):
+    """Every target once across the pieces, in a bucket as wide as its
+    in-degree: its own cell at weight 1.0, then its borrowers ascending,
+    offset by N, at their propagation weights bit for bit."""
+    net, n = cal.net, cal.net.n_nodes
+    weights, pieces = contagion.propagation_weights(cal), contagion._pull_tables(cal)
+    if np.isinf(weights.weight).any():
+        assert pieces == []
+        return
+    weight_of = dict(zip(zip(weights.src.tolist(), weights.dst.tolist()), weights.weight))
+    targets = []
+    for index, scale in pieces:
+        assert scale.shape == (*index.shape, 1)
+        for column, column_scale in zip(index.T.tolist(), scale[:, :, 0].T):
+            target, sources = column[0], [k - n for k in column[1:]]
+            targets.append(target)
+            assert sources == sorted(net.borrower[net.lender == target].tolist())
+            expected = [1.0, *(weight_of[source, target] for source in sources)]
+            assert column_scale.tobytes() == np.array(expected).tobytes()
+    assert sorted(targets) == np.unique(net.lender).tolist()
+
+
+@pytest.mark.parametrize("eta", [0.005, 0.05])
+def test_pull_tables_of_a_synthetic_network(eta):
+    _check_pull_tables(calibrate(generate_synthetic(SyntheticSpec(n_nodes=60)),
+                                 CalibrationParams(10.0, eta, 0.01)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(net=small_networks(max_nodes=8), eta=st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
+def test_pull_tables_property(net, eta):
+    _check_pull_tables(calibrate(net, CalibrationParams(beta=10.0, eta=eta, alpha=0.0)))
 
 
 # Integer amounts sum exactly in any order, so relabelling the nodes

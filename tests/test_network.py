@@ -101,6 +101,21 @@ def test_aggregate_empty_window_errors():
         ingest_transactions(["B1,B2,3.0,2000-04-03"], start=dt.date(2001, 1, 1))
 
 
+# Two trades of 1e308 sum past float64: the pair total is inf, which the
+# constructor rejects, with no overflow warning first, window or not.
+@pytest.mark.parametrize("start", [None, dt.date(2020, 1, 2)])
+@pytest.mark.parametrize("aggregate", [
+    network.aggregate_file,
+    lambda path, start: aggregate_window(network.ingest_file(path, start)),
+], ids=["aggregate_file", "aggregate_window"])
+def test_overflowing_pair_total_is_an_input_error(tmp_path, aggregate, start):
+    path = tmp_path / "trades.csv"
+    path.write_text("a,b,1e308,2020-01-02\na,b,1e308,2020-01-03\nb,a,1.0,2020-01-02\n")
+    with pytest.raises(InputError, match=r"^loan 'a'->'b': amount must be finite and strictly "
+                                         r"positive, got inf$"):
+        aggregate(path, start)
+
+
 def test_aggregate_t3_fixture_file(t3):
     trades = ingest_transactions(T3_LINES)
     net = aggregate_window(trades)
@@ -187,8 +202,12 @@ def test_constructor_sorts_and_freezes_loans():
 def test_equality_with_another_type_and_nonpositive_scale(t3):
     assert t3.__eq__(object()) is NotImplemented
     assert (t3 == object()) is False
-    with pytest.raises(InputError, match="^scale factor must be positive$"):
-        t3.scaled(0)
+    for gamma in (0, math.nan):
+        with pytest.raises(InputError, match="^scale factor must be positive$"):
+            t3.scaled(gamma)
+    # A factor that overflows an amount leaves the constructor to reject it.
+    with pytest.raises(InputError, match="^loan '2'->'1': amount must be finite"):
+        t3.scaled(1e308)
 
 
 class Column(np.ndarray):
